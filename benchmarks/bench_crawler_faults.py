@@ -17,7 +17,8 @@ from repro import SteamWorld, WorldConfig
 from repro.crawler.retry import RetryPolicy
 from repro.obs import bench_metric
 from repro.crawler.runner import run_full_crawl
-from repro.steamapi.faults import FaultInjectingTransport, FaultPlan
+from repro.faults import FaultPlan
+from repro.steamapi.faults import FaultInjectingTransport, FaultSpec
 from repro.steamapi.service import SteamApiService
 from repro.steamapi.transport import InProcessTransport
 from repro.store.io import save_dataset
@@ -39,7 +40,8 @@ def test_throughput_vs_fault_rate(
         transport = InProcessTransport(service)
         if rate > 0:
             transport = FaultInjectingTransport(
-                transport, FaultPlan.uniform(rate, seed=97, burst=2)
+                transport,
+                FaultPlan(seed=97, default=FaultSpec.uniform(rate, burst=2)),
             )
         start = time.perf_counter()
         result = run_full_crawl(

@@ -27,7 +27,8 @@ import time
 import pytest
 
 from repro import SteamStudy, SteamWorld, WorldConfig
-from repro.engine import EngineFaultPlan, EngineFaultSpec
+from repro.engine import EngineFaultSpec
+from repro.faults import FaultPlan
 from repro.obs import Obs, bench_metric
 
 RECOVERY_USERS = int(os.environ.get("REPRO_BENCH_USERS", "20000"))
@@ -84,9 +85,9 @@ def test_engine_recovery(benchmark, recovery_world, record, record_json):
     )
     overhead = armed / clean - 1.0
 
-    crash_plan = EngineFaultPlan(
+    crash_plan = FaultPlan(
         seed=7,
-        stages={
+        overrides={
             "fig4": EngineFaultSpec(crash=1.0),
             "table2": EngineFaultSpec(crash=1.0),
         },

@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro import SteamWorld, WorldConfig
+from repro.faults import FaultPlan
 from repro.obs import Obs, RequestLog, SLOTracker, bench_metric
 from repro.obs.slo import SLOSpec
 from repro.serving import (
@@ -42,7 +43,6 @@ from repro.serving import (
     AnalyticsService,
     AnalyticsStore,
     ChaosAnalyticsService,
-    ServingFaultPlan,
     ServingFaultSpec,
     serve_analytics,
 )
@@ -118,7 +118,7 @@ def test_serving_overload_benchmark(overload_world, record, record_json):
         [SLOSpec(route="*", target=0.999, latency_threshold_s=5.0)],
         clock=obs.clock,
     )
-    plan = ServingFaultPlan(
+    plan = FaultPlan(
         seed=7,
         default=ServingFaultSpec(stall=1.0, stall_range=STALL_RANGE),
     )

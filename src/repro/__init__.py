@@ -3,7 +3,7 @@ Behavior" (O'Neill, Vaziripour, Wu, Zappala — IMC 2016).
 
 The package is organized bottom-up:
 
-- :mod:`repro.steamid` — SteamID arithmetic and ID-space layout.
+- :mod:`repro.steamid` — SteamID ID-space layout.
 - :mod:`repro.simworld` — calibrated synthetic Steam universe generator
   (the substitute for the live 2013 Steam network).
 - :mod:`repro.steamapi` — simulated Steam Web API (in-process and HTTP).

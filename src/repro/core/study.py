@@ -587,7 +587,8 @@ class SteamStudy:
         path) memoizes stage results across runs.  Both are pure
         accelerations: the report is byte-identical regardless — and so
         is crash recovery: ``engine_faults`` (a seeded
-        :class:`repro.engine.EngineFaultPlan`, chaos tests only) makes
+        :class:`repro.faults.FaultPlan` of engine specs, chaos tests
+        only) makes
         workers crash/hang/stall, and the engine's retry machinery must
         still deliver the identical report.  ``stage_timeout`` arms the
         per-stage hung-worker watchdog.  ``obs`` records one span per

@@ -21,9 +21,10 @@ turns that observation into infrastructure:
   resubmit, repeated pool loss falls back to serial execution, and
   deterministic stage failures surface as one typed
   :class:`~repro.engine.executor.StageFailedError` (DESIGN.md §9);
-- :class:`~repro.engine.faults.EngineFaultPlan` — seeded
-  crash/hang/error/slow fault injection into worker tasks, so the
-  recovery paths above are deterministically testable.
+- :mod:`~repro.engine.faults` — seeded crash/hang/error/slow fault
+  injection into worker tasks (an :class:`EngineFaultSpec` per stage
+  prefix in a :class:`repro.faults.FaultPlan`), so the recovery paths
+  above are deterministically testable.
 
 :mod:`repro.core.study` expresses the full study as a stage graph on
 this engine; ``condensing-steam analyze --jobs/--cache-dir/--no-cache``
@@ -35,12 +36,7 @@ from __future__ import annotations
 
 from repro.engine.cache import CacheStats, StageCache
 from repro.engine.executor import Engine, EngineRun, StageFailedError
-from repro.engine.faults import (
-    ENGINE_FAULT_KINDS,
-    EngineFaultPlan,
-    EngineFaultSpec,
-    InjectedFaultError,
-)
+from repro.engine.faults import EngineFaultSpec, InjectedFaultError
 from repro.engine.fingerprint import (
     content_hash,
     select_column_fingerprints,
@@ -58,10 +54,8 @@ __all__ = [
     "Engine",
     "EngineRun",
     "StageFailedError",
-    "EngineFaultPlan",
     "EngineFaultSpec",
     "InjectedFaultError",
-    "ENGINE_FAULT_KINDS",
     "content_hash",
     "select_column_fingerprints",
     "source_hash",

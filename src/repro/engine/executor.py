@@ -54,9 +54,10 @@ from pathlib import Path
 from typing import Any
 
 from repro.engine.cache import StageCache
-from repro.engine.faults import EngineFaultPlan
+from repro.engine.faults import inject
 from repro.engine.fingerprint import stage_key
 from repro.engine.stage import StageContext, StageGraph
+from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry, Obs, Span, maybe_span
 from repro.obs.profiling import profiled_call
 
@@ -123,7 +124,7 @@ def _run_stage_task(
     """
     assert _WORKER_CTX is not None, "worker context missing"
     if faults is not None:
-        faults.inject(name, attempt)
+        inject(faults, name, attempt)
     ctx = _WORKER_CTX.with_deps(deps)
     profile_rows = None
     start = time.perf_counter()
@@ -185,7 +186,7 @@ class Engine:
     #: Pool rebuilds tolerated before falling back to serial execution.
     max_pool_breaks: int = 2
     #: Seeded chaos plan injected into worker tasks (tests only).
-    faults: EngineFaultPlan | None = None
+    faults: FaultPlan | None = None
     #: cProfile every stage and collect top-N rows per stage
     #: (``repro analyze --profile``).
     profile: bool = False

@@ -10,7 +10,8 @@ driven by a seeded plan, so the engine's recovery paths (pool rebuild,
 bounded retry, watchdog, serial fallback, quarantine) are themselves
 deterministically testable.
 
-Failure modes, in the order the decision draw considers them:
+Failure modes, in the order the decision draw considers them
+(:attr:`EngineFaultSpec.KINDS`):
 
 - ``crash``  — the worker process dies hard (``os._exit``), breaking
   the pool exactly like an OOM kill or segfault;
@@ -21,16 +22,16 @@ Failure modes, in the order the decision draw considers them:
 - ``slow``   — the stage sleeps ``slow_seconds`` then computes
   normally (latency without failure).
 
-Determinism works differently from the crawler injector: worker
-processes come and go (that is the point), so no in-process RNG state
-can survive a pool rebuild.  Instead every decision is a pure hash of
-``(plan seed, stage name, attempt number)`` — the parent tracks attempt
-numbers and ships them with each task, so the same plan produces the
-same fault sequence on every run, and a retried attempt rolls a fresh
-(but still deterministic) draw.  By default only attempt 0 is eligible
-for faults (``max_faulted_attempts=1``), which guarantees a bounded
-retry converges and the recovered run stays byte-identical to a clean
-one.
+Every decision is the shared core's pure hash draw
+(:func:`repro.faults.draw`) of ``(plan seed, stage name, attempt
+number)``: worker processes come and go (that is the point), so no
+in-process state could survive a pool rebuild.  The parent tracks
+attempt numbers and ships them with each task, so the same plan
+produces the same fault sequence on every run, and a retried attempt
+rolls a fresh (but still deterministic) draw.  By default only attempt
+0 is eligible for faults (``max_faulted_attempts=1``), which guarantees
+a bounded retry converges and the recovered run stays byte-identical
+to a clean one.
 
 Faults are injected *in the worker task wrapper only*: serial execution
 (including the engine's serial fallback) never consults the plan, since
@@ -40,20 +41,19 @@ save.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
+
+from repro.faults import FaultPlan, Spec, draw, pick
 
 __all__ = [
-    "ENGINE_FAULT_KINDS",
     "EngineFaultSpec",
-    "EngineFaultPlan",
     "InjectedFaultError",
+    "decide",
+    "inject",
 ]
-
-#: Injectable failure modes, in decision-draw order.
-ENGINE_FAULT_KINDS = ("crash", "hang", "error", "slow")
 
 
 class InjectedFaultError(RuntimeError):
@@ -61,14 +61,17 @@ class InjectedFaultError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EngineFaultSpec:
-    """Per-stage fault probabilities (independent slices of one draw).
+class EngineFaultSpec(Spec):
+    """Per-stage fault probabilities (slices of one draw).
 
     The probabilities must sum to <= 1; the remainder is the chance the
     attempt runs untouched.  ``max_faulted_attempts`` bounds which
     attempt numbers are eligible: the default of 1 faults only a
     stage's first attempt, so retries always converge.
     """
+
+    KINDS: ClassVar = ("crash", "hang", "error", "slow")
+    SECONDS: ClassVar = ("hang_seconds", "slow_seconds")
 
     crash: float = 0.0
     hang: float = 0.0
@@ -82,92 +85,30 @@ class EngineFaultSpec:
     #: Attempts < this value are eligible for faults (1 = first only).
     max_faulted_attempts: int = 1
 
-    def __post_init__(self) -> None:
-        total = self.crash + self.hang + self.error + self.slow
-        if not 0.0 <= total <= 1.0:
-            raise ValueError("fault probabilities must sum to within [0, 1]")
-        if self.max_faulted_attempts < 0:
-            raise ValueError("max_faulted_attempts must be >= 0")
 
-    @property
-    def total_rate(self) -> float:
-        return self.crash + self.hang + self.error + self.slow
+def decide(plan: FaultPlan, stage: str, attempt: int) -> str | None:
+    """The fault kind injected for this attempt, if any.
 
-
-@dataclass(frozen=True)
-class EngineFaultPlan:
-    """A seeded recipe of which stage attempts fail, and how.
-
-    ``stages`` overrides the default spec by stage-name prefix (longest
-    prefix wins), so a plan can e.g. crash only the ``table4:`` shards
-    while leaving the cheap figure stages clean.  The plan is immutable
-    and picklable — it crosses the process boundary with every task.
+    Pure: callable identically from the parent (tests predicting the
+    fault sequence) and the worker (actually injecting it).
     """
-
-    seed: int = 0
-    default: EngineFaultSpec = field(default_factory=EngineFaultSpec)
-    stages: dict[str, EngineFaultSpec] = field(default_factory=dict)
-
-    @classmethod
-    def uniform(cls, rate: float, seed: int = 0) -> "EngineFaultPlan":
-        """Spread ``rate`` evenly over all four fault kinds."""
-        share = rate / len(ENGINE_FAULT_KINDS)
-        return cls(
-            seed=seed,
-            default=EngineFaultSpec(
-                crash=share, hang=share, error=share, slow=share
-            ),
-        )
-
-    def spec_for(self, stage: str) -> EngineFaultSpec:
-        best: str | None = None
-        for prefix in self.stages:
-            if stage.startswith(prefix) and (
-                best is None or len(prefix) > len(best)
-            ):
-                best = prefix
-        return self.stages[best] if best is not None else self.default
-
-    def _draw(self, stage: str, attempt: int) -> float:
-        """Pure uniform draw in [0, 1) for one (stage, attempt)."""
-        digest = hashlib.sha256(
-            f"{self.seed}|{stage}|{attempt}".encode("utf-8")
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-    def decide(self, stage: str, attempt: int) -> str | None:
-        """The fault kind injected for this attempt, if any.
-
-        Pure: callable identically from the parent (tests predicting
-        the fault sequence) and the worker (actually injecting it).
-        """
-        spec = self.spec_for(stage)
-        if attempt >= spec.max_faulted_attempts:
-            return None
-        draw = self._draw(stage, attempt)
-        edge = 0.0
-        for kind in ENGINE_FAULT_KINDS:
-            edge += getattr(spec, kind)
-            if draw < edge:
-                return kind
+    spec = plan.spec_for(stage)
+    if spec is None or attempt >= spec.max_faulted_attempts:
         return None
+    return pick(spec, draw(plan.seed, stage, attempt)[0])
 
-    def inject(self, stage: str, attempt: int) -> None:
-        """Worker-side: act on the decision for this attempt."""
-        kind = self.decide(stage, attempt)
-        if kind is None:
-            return
-        spec = self.spec_for(stage)
-        if kind == "crash":
-            # Bypass every finally/atexit, like a SIGKILL or OOM kill.
-            os._exit(1)
-        if kind == "hang":
-            time.sleep(spec.hang_seconds)
-            return
-        if kind == "error":
-            raise InjectedFaultError(
-                f"injected deterministic failure in stage {stage!r} "
-                f"(attempt {attempt})"
-            )
-        if kind == "slow":
-            time.sleep(spec.slow_seconds)
+
+def inject(plan: FaultPlan, stage: str, attempt: int) -> None:
+    """Worker-side: act on the decision for this attempt."""
+    kind = decide(plan, stage, attempt)
+    if kind == "crash":
+        # Bypass every finally/atexit, like a SIGKILL or OOM kill.
+        os._exit(1)
+    if kind == "error":
+        raise InjectedFaultError(
+            f"injected deterministic failure in stage {stage!r} "
+            f"(attempt {attempt})"
+        )
+    if kind in ("hang", "slow"):
+        # Sleep, then compute; a long enough hang trips the watchdog.
+        time.sleep(getattr(plan.spec_for(stage), f"{kind}_seconds"))

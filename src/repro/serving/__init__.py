@@ -33,7 +33,6 @@ from repro.serving.cache import ResponseCache
 from repro.serving.chaos import (
     ChaosAnalyticsService,
     ChaosDispatch,
-    ServingFaultPlan,
     ServingFaultSpec,
 )
 from repro.serving.store import (
@@ -54,7 +53,6 @@ __all__ = [
     "CircuitBreaker",
     "DistributionIndex",
     "ResponseCache",
-    "ServingFaultPlan",
     "ServingFaultSpec",
     "build_serving_graph",
     "serve_analytics",

@@ -5,8 +5,8 @@ write path: a hardened crawler produces a byte-identical dataset
 through a storm of injected upstream failures.  This module points the
 same discipline at the serving tier.  :class:`ChaosDispatch` wraps any
 ``dispatch(path, params) -> payload`` callable and, driven by the
-shared :class:`~repro.steamapi.faults.FaultChooser`, injects the
-failure modes an overloaded read path sees:
+shared fault core (:mod:`repro.faults`), injects the failure modes an
+overloaded read path sees:
 
 - **stalls** — the handler sleeps before serving, burning the
   request's deadline budget (slow store, GC pause, noisy neighbor);
@@ -19,11 +19,11 @@ failure modes an overloaded read path sees:
 - **crashes** — an untyped exception escapes the handler, exercising
   the opaque-500 containment path.
 
-Faults are *cooperative and deterministic*: the same plan seed yields
-the same fault sequence, and injected stalls never corrupt a response
-— they only spend time — so every accepted (HTTP 200) response under
-chaos is byte-identical to an unloaded run.  That invariant is what
-``tests/serving/test_chaos.py`` asserts.
+Faults are *cooperative and deterministic*: the fault tape is a pure
+function of the plan seed and the request number, and injected stalls
+never corrupt a response — they only spend time — so every accepted
+(HTTP 200) response under chaos is byte-identical to an unloaded run.
+That invariant is what ``tests/serving/test_chaos.py`` asserts.
 
 :func:`run_storm` is the load half of the harness: a seeded
 multi-client request storm against a live server, returning per-status
@@ -36,19 +36,18 @@ from __future__ import annotations
 
 import http.client
 import json
-import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
+from repro.faults import FaultPlan, RequestFaults, Spec, draw
 from repro.obs import reqlog
 from repro.serving.api import AnalyticsService
-from repro.steamapi.faults import AbortedResponse, FaultChooser
+from repro.steamapi.faults import AbortedResponse
 
 __all__ = [
-    "SERVING_FAULT_KINDS",
     "ServingFaultSpec",
-    "ServingFaultPlan",
     "ChaosDispatch",
     "ChaosAnalyticsService",
     "InjectedCrash",
@@ -56,107 +55,65 @@ __all__ = [
     "run_storm",
 ]
 
-#: Injectable read-path failure modes, in RNG consideration order.
-SERVING_FAULT_KINDS = ("stall", "abort", "crash")
-
 
 class InjectedCrash(RuntimeError):
     """An untyped handler failure: must surface as an opaque 500."""
 
 
 @dataclass(frozen=True)
-class ServingFaultSpec:
+class ServingFaultSpec(Spec):
     """Per-request fault probabilities for one route prefix.
 
-    Probabilities are independent slices of one uniform draw (sum must
-    stay <= 1); ``burst > 1`` turns a triggered fault into an outage of
-    that many consecutive requests.
+    Probabilities are slices of one uniform draw (sum must stay <= 1);
+    ``burst > 1`` turns a triggered fault into an outage of that many
+    consecutive requests.
     """
+
+    KINDS: ClassVar = ("stall", "abort", "crash")
+    SECONDS: ClassVar = ("stall_range",)
 
     stall: float = 0.0
     abort: float = 0.0
     crash: float = 0.0
     #: Stall durations are drawn uniformly from this range (seconds).
     stall_range: tuple[float, float] = (0.005, 0.05)
-    #: Consecutive requests failed per triggered fault (1 = independent).
+    #: Requests per aligned fault block (1 = independent).
     burst: int = 1
 
-    def __post_init__(self) -> None:
-        total = self.stall + self.abort + self.crash
-        if not 0.0 <= total <= 1.0:
-            raise ValueError("fault probabilities must sum to within [0, 1]")
-        lo, hi = self.stall_range
-        if not 0 <= lo <= hi:
-            raise ValueError("stall_range must satisfy 0 <= lo <= hi")
-        if self.burst < 1:
-            raise ValueError("burst must be >= 1")
 
-
-@dataclass
-class ServingFaultPlan:
-    """A seeded recipe of which read-path faults to inject where.
-
-    ``endpoints`` overrides the default spec by request-path prefix
-    (longest prefix wins), mirroring
-    :class:`~repro.steamapi.faults.FaultPlan`.
-    """
-
-    seed: int = 0
-    default: ServingFaultSpec = field(default_factory=ServingFaultSpec)
-    endpoints: dict[str, ServingFaultSpec] = field(default_factory=dict)
-
-    def spec_for(self, path: str) -> ServingFaultSpec:
-        best: str | None = None
-        for prefix in self.endpoints:
-            if path.startswith(prefix) and (
-                best is None or len(prefix) > len(best)
-            ):
-                best = prefix
-        return self.endpoints[best] if best is not None else self.default
-
-
-class ChaosDispatch:
+class ChaosDispatch(RequestFaults):
     """Wrap a dispatch callable, deterministically injecting faults.
 
-    Probe routes are exempt: chaos must never make ``/healthz`` or
-    ``/readyz`` lie — the point is to prove the *data* path degrades
-    gracefully while the probes keep telling the truth.
+    Probe routes are exempt (and take no request number): chaos must
+    never make ``/healthz`` or ``/readyz`` lie — the point is to prove
+    the *data* path degrades gracefully while the probes keep telling
+    the truth.
 
-    Thread-safe: the fault decision is taken under a lock, so the
-    wrapper sits directly under the threading HTTP server.  The sleep
-    itself happens outside the lock — a stall must slow one request,
+    Thread-safe, so the wrapper sits directly under the threading HTTP
+    server.  A stall sleeps outside any lock — it must slow one request,
     not serialize the server.
     """
 
     def __init__(
         self,
         inner,
-        plan: ServingFaultPlan,
+        plan: FaultPlan,
         obs=None,
         sleep=time.sleep,
     ) -> None:
-        self.inner = inner
-        self.plan = plan
-        self._sleep = sleep
-        self._chooser = FaultChooser(plan.seed, SERVING_FAULT_KINDS)
-        self._lock = threading.Lock()
-        self.requests_seen = 0
-        self.fault_counts: dict[str, int] = {
-            k: 0 for k in SERVING_FAULT_KINDS
-        }
-        self._m_injected = (
+        super().__init__(
+            plan,
+            ServingFaultSpec.KINDS,
             obs.counter(
                 "serving_injected_faults",
                 "Read-path faults injected by the chaos wrapper, by kind",
                 ("kind",),
             )
             if obs is not None
-            else None
+            else None,
         )
-
-    @property
-    def total_injected(self) -> int:
-        return sum(self.fault_counts.values())
+        self.inner = inner
+        self._sleep = sleep
 
     def __call__(self, path: str, params: dict) -> dict:
         return self.wrap(path, lambda: self.inner(path, params))
@@ -169,7 +126,6 @@ class ChaosDispatch:
         match), while :meth:`__call__` wraps a plain dispatch callable
         from the outside.
         """
-        spec = self.plan.spec_for(path)
         if path in (
             "/healthz",
             "/readyz",
@@ -178,32 +134,23 @@ class ChaosDispatch:
             "/debug/slo",
         ):
             return inner()
-        with self._lock:
-            self.requests_seen += 1
-            kind = self._chooser.choose(spec)
-            if kind == "stall":
-                duration = self._chooser.rng.uniform(*spec.stall_range)
-            elif kind == "abort":
-                cut_draw = self._chooser.rng.random()
-            if kind is not None:
-                self.fault_counts[kind] += 1
+        kind, spec, aux = self.next_fault(path)
         if kind is not None:
             # Tag the ambient request record so a chaos storm's records
             # say which fault produced each 499/500/504.
             reqlog.annotate(fault=kind)
-            if self._m_injected is not None:
-                self._m_injected.inc(kind=kind)
         if kind == "crash":
             raise InjectedCrash(f"injected handler crash on {path}")
         if kind == "stall":
             # Spend budget, then serve; correctness is untouched, only
             # time.  Downstream deadline checks decide if it was fatal.
-            self._sleep(duration)
+            lo, hi = spec.stall_range
+            self._sleep(lo + (hi - lo) * aux)
             return inner()
         payload = inner()
         if kind == "abort":
             body = json.dumps(payload).encode("utf-8")
-            cut = max(1, int(cut_draw * (len(body) - 1)))
+            cut = max(1, int(aux * (len(body) - 1)))
             raise AbortedResponse(body, cut)
         return payload
 
@@ -224,7 +171,7 @@ class ChaosAnalyticsService(AnalyticsService):
     def __init__(
         self,
         store,
-        plan: ServingFaultPlan,
+        plan: FaultPlan,
         sleep=time.sleep,
         **kwargs,
     ) -> None:
@@ -282,10 +229,11 @@ def run_storm(
 ) -> StormResult:
     """Hammer a server with ``clients`` concurrent keep-alive clients.
 
-    Each client gets its own seeded RNG (``seed + client_index``) and
-    draws its request paths from ``paths``, so the exact request mix is
-    reproducible.  No backoff, no retries: the point is to overrun
-    admission and observe the shed behavior.
+    Client ``c`` cycles through ``paths`` from the offset
+    ``draw(seed, c)`` picks, so the exact request mix is reproducible
+    and every path is requested about equally often.
+    No backoff, no retries: the point is to overrun admission and
+    observe the shed behavior.
     """
     status_counts: dict[int, int] = {}
     accepted: list[tuple[str, bytes]] = []
@@ -295,11 +243,11 @@ def run_storm(
     lock = threading.Lock()
 
     def client(index: int) -> None:
-        rng = random.Random(seed + index)
+        offset = int(draw(seed, index)[0] * len(paths))
         conn = http.client.HTTPConnection(host, port, timeout=timeout)
         try:
-            for _ in range(requests_per_client):
-                path = rng.choice(paths)
+            for i in range(requests_per_client):
+                path = paths[(offset + i) % len(paths)]
                 start = time.monotonic()
                 try:
                     conn.request("GET", path, headers=headers or {})

@@ -21,9 +21,3 @@ def substream(seed: int, label: str) -> np.random.Generator:
     key = zlib.crc32(label.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence((seed, key)))
 
-
-def spawn_many(seed: int, label: str, count: int) -> list[np.random.Generator]:
-    """Return ``count`` independent generators under one labelled stream."""
-    key = zlib.crc32(label.encode("utf-8"))
-    children = np.random.SeedSequence((seed, key)).spawn(count)
-    return [np.random.default_rng(child) for child in children]

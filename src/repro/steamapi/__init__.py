@@ -28,11 +28,7 @@ from repro.steamapi.errors import (
     RequestTimeoutError,
     UnauthorizedError,
 )
-from repro.steamapi.faults import (
-    FaultInjectingTransport,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.steamapi.faults import FaultInjectingTransport, FaultSpec
 from repro.steamapi.ratelimit import TokenBucket
 from repro.steamapi.service import SteamApiService
 from repro.steamapi.transport import InProcessTransport, Transport
@@ -50,6 +46,5 @@ __all__ = [
     "MalformedResponseError",
     "UnauthorizedError",
     "FaultSpec",
-    "FaultPlan",
     "FaultInjectingTransport",
 ]

@@ -8,7 +8,7 @@ crawler's backoff honours.  :func:`serve` wraps a
 callable, which is how the analytics serving tier
 (:mod:`repro.serving`) reuses this machinery.
 
-Passing a :class:`~repro.steamapi.faults.FaultPlan` to :func:`serve`
+Passing a :class:`~repro.faults.FaultPlan` to :func:`serve`
 puts a :class:`~repro.steamapi.faults.FaultInjectingTransport` in front
 of the service, so chaos testing also covers the genuine network path:
 injected truncations are sent as real broken bytes on the socket (a 200
@@ -57,17 +57,14 @@ from repro.steamapi.deadline import (
     effective_budget,
     parse_deadline_value,
 )
+from repro.faults import FaultPlan
 from repro.steamapi.errors import (
     ApiError,
     BadRequestError,
     MalformedResponseError,
     RateLimitedError,
 )
-from repro.steamapi.faults import (
-    AbortedResponse,
-    FaultInjectingTransport,
-    FaultPlan,
-)
+from repro.steamapi.faults import AbortedResponse, FaultInjectingTransport
 from repro.steamapi.service import SteamApiService
 from repro.steamapi.transport import InProcessTransport
 

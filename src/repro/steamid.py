@@ -1,69 +1,20 @@
-"""SteamID arithmetic and ID-space layout.
+"""SteamID ID-space layout.
 
 Steam assigns every account a 64-bit SteamID, allocated sequentially from a
-base value (76561197960265728).  Game servers historically used a 32-bit
-textual form (``STEAM_X:Y:Z``); the Web API uses the 64-bit integer form.
-The two are related by a bijection: the 64-bit ID encodes a universe,
-account type, instance, and a 32-bit account number whose lowest bit is the
-``Y`` field of the textual form.
-
-The paper crawls the 64-bit ID space exhaustively, observing that account
-density is below 50% for the first ~21.5% of the allocated range and above
-90% afterwards.  :class:`IdSpace` models that layout so that the simulated
-API and the crawler exercise the same sparse-sweep behavior.
+base value (76561197960265728).  The paper crawls the 64-bit ID space
+exhaustively, observing that account density is below 50% for the first
+~21.5% of the allocated range and above 90% afterwards.  :class:`IdSpace`
+models that layout so that the simulated API and the crawler exercise the
+same sparse-sweep behavior.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import constants
-
-#: First 64-bit SteamID ever allocated.
-BASE_STEAMID = constants.STEAMID_BASE
-
-#: Universe / type / instance prefix packed into bits 32..63 of a public
-#: individual account ID (universe=1, type=1, instance=1).
-_PREFIX = BASE_STEAMID >> 32
-
-_TEXT_RE = re.compile(r"^STEAM_([0-5]):([01]):(\d+)$")
-
-
-def account_number(steamid64: int) -> int:
-    """Return the 32-bit account number encoded in a 64-bit SteamID."""
-    if steamid64 < BASE_STEAMID:
-        raise ValueError(f"not an individual SteamID64: {steamid64}")
-    return steamid64 - BASE_STEAMID
-
-
-def to_steamid64(account: int) -> int:
-    """Return the 64-bit SteamID for a 32-bit account number."""
-    if account < 0 or account >= 1 << 32:
-        raise ValueError(f"account number out of range: {account}")
-    return BASE_STEAMID + account
-
-
-def to_text(steamid64: int, universe: int = 0) -> str:
-    """Render a 64-bit SteamID in the legacy ``STEAM_X:Y:Z`` form."""
-    acct = account_number(steamid64)
-    return f"STEAM_{universe}:{acct & 1}:{acct >> 1}"
-
-
-def from_text(text: str) -> int:
-    """Parse a legacy ``STEAM_X:Y:Z`` ID into its 64-bit form."""
-    match = _TEXT_RE.match(text)
-    if match is None:
-        raise ValueError(f"malformed textual SteamID: {text!r}")
-    y, z = int(match.group(2)), int(match.group(3))
-    return to_steamid64((z << 1) | y)
-
-
-def is_individual_id(steamid64: int) -> bool:
-    """Return True when the ID has the public-individual-account prefix."""
-    return (steamid64 >> 32) == _PREFIX and steamid64 >= BASE_STEAMID
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,9 @@ import pytest
 from repro.crawler.checkpoint import CrawlCheckpoint
 from repro.crawler.retry import RetriesExhausted, RetryPolicy
 from repro.crawler.runner import run_full_crawl
+from repro.faults import FaultPlan
 from repro.steamapi.errors import ApiError
-from repro.steamapi.faults import (
-    FaultInjectingTransport,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.steamapi.faults import FaultInjectingTransport, FaultSpec
 from repro.steamapi.service import SteamApiService
 from repro.steamapi.transport import InProcessTransport
 from repro.store.io import save_dataset

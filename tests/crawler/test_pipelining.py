@@ -14,13 +14,10 @@ from repro import constants
 from repro.crawler.retry import RetriesExhausted, RetryPolicy
 from repro.crawler.session import CrawlSession
 from repro.crawler.throttle import PolitePacer
+from repro.faults import FaultPlan
 from repro.obs import Obs
 from repro.steamapi.errors import PrivateProfileError
-from repro.steamapi.faults import (
-    FaultInjectingTransport,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.steamapi.faults import FaultInjectingTransport, FaultSpec
 from repro.steamapi.service import SteamApiService
 from repro.steamapi.transport import InProcessTransport
 

@@ -15,7 +15,6 @@ import pytest
 from repro import SteamStudy
 from repro.engine import (
     Engine,
-    EngineFaultPlan,
     EngineFaultSpec,
     InjectedFaultError,
     Stage,
@@ -23,6 +22,8 @@ from repro.engine import (
     StageFailedError,
     StageGraph,
 )
+from repro.engine.faults import decide, inject
+from repro.faults import FaultPlan
 from repro.obs import Obs
 
 
@@ -63,60 +64,65 @@ def _wait_for_no_children(timeout: float = 10.0) -> list:
     return children
 
 
+def _uniform(rate, seed):
+    return FaultPlan(seed=seed, default=EngineFaultSpec.uniform(rate))
+
+
 class TestFaultPlan:
     def test_decide_is_deterministic_across_instances(self):
-        a = EngineFaultPlan.uniform(0.5, seed=42)
-        b = EngineFaultPlan.uniform(0.5, seed=42)
+        a = _uniform(0.5, seed=42)
+        b = _uniform(0.5, seed=42)
         draws = [
             (stage, attempt)
             for stage in ("fig4", "table2", "table4:0", "summary")
             for attempt in range(4)
         ]
-        assert [a.decide(s, n) for s, n in draws] == [
-            b.decide(s, n) for s, n in draws
+        assert [decide(a, s, n) for s, n in draws] == [
+            decide(b, s, n) for s, n in draws
         ]
 
     def test_different_seeds_differ(self):
         stages = [f"stage{i}" for i in range(64)]
-        a = [EngineFaultPlan.uniform(0.5, seed=1).decide(s, 0) for s in stages]
-        b = [EngineFaultPlan.uniform(0.5, seed=2).decide(s, 0) for s in stages]
+        a = [decide(_uniform(0.5, seed=1), s, 0) for s in stages]
+        b = [decide(_uniform(0.5, seed=2), s, 0) for s in stages]
         assert a != b
 
     def test_longest_prefix_wins(self):
-        plan = EngineFaultPlan(
-            stages={
+        plan = FaultPlan(
+            overrides={
                 "table4": EngineFaultSpec(crash=1.0),
                 "table4:9": EngineFaultSpec(error=1.0),
             }
         )
         assert plan.spec_for("table4:3").crash == 1.0
         assert plan.spec_for("table4:9").error == 1.0
-        # No matching prefix: the (clean) default spec applies.
-        assert plan.spec_for("fig2").total_rate == 0.0
+        # No matching prefix and no default: never faulted.
+        assert plan.spec_for("fig2") is None
+        assert decide(plan, "fig2", 0) is None
 
     def test_attempt_cap_bounds_faults(self):
-        plan = EngineFaultPlan(
-            stages={"x": EngineFaultSpec(crash=1.0, max_faulted_attempts=2)}
+        plan = FaultPlan(
+            overrides={"x": EngineFaultSpec(crash=1.0, max_faulted_attempts=2)}
         )
-        assert plan.decide("x", 0) == "crash"
-        assert plan.decide("x", 1) == "crash"
-        assert plan.decide("x", 2) is None
+        assert decide(plan, "x", 0) == "crash"
+        assert decide(plan, "x", 1) == "crash"
+        assert decide(plan, "x", 2) is None
 
     def test_probabilities_validated(self):
         with pytest.raises(ValueError, match="sum to within"):
             EngineFaultSpec(crash=0.8, error=0.5)
 
     def test_error_fault_raises_in_process(self):
-        plan = EngineFaultPlan(stages={"x": EngineFaultSpec(error=1.0)})
+        plan = FaultPlan(overrides={"x": EngineFaultSpec(error=1.0)})
         with pytest.raises(InjectedFaultError, match="stage 'x'"):
-            plan.inject("x", 0)
-        plan.inject("x", 1)  # past the attempt cap: no fault
+            inject(plan, "x", 0)
+        inject(plan, "x", 1)  # past the attempt cap: no fault
 
 
 class TestCrashRecovery:
     def test_worker_crash_is_retried_to_the_same_answer(self, small_dataset):
-        plan = EngineFaultPlan(
-            stages={"left": EngineFaultSpec(crash=1.0)}
+        plan = FaultPlan(
+            overrides={"left": EngineFaultSpec(crash=1.0)}
         )
         obs = Obs()
         ctx = StageContext(dataset=small_dataset)
@@ -133,8 +139,8 @@ class TestCrashRecovery:
         # Every attempt crashes: pool rebuilds are pointless, so after
         # max_pool_breaks the engine must finish the graph serially
         # (where the injector is never consulted) rather than loop.
-        plan = EngineFaultPlan(
-            stages={
+        plan = FaultPlan(
+            overrides={
                 "left": EngineFaultSpec(crash=1.0, max_faulted_attempts=99)
             }
         )
@@ -148,7 +154,7 @@ class TestCrashRecovery:
         assert obs.registry.get("engine_serial_fallbacks").value() == 1
 
     def test_no_worker_processes_leak_after_recovery(self, small_dataset):
-        plan = EngineFaultPlan(stages={"left": EngineFaultSpec(crash=1.0)})
+        plan = FaultPlan(overrides={"left": EngineFaultSpec(crash=1.0)})
         ctx = StageContext(dataset=small_dataset)
         Engine(jobs=2, faults=plan).run(_small_graph(), ctx)
         assert _wait_for_no_children() == []
@@ -156,8 +162,8 @@ class TestCrashRecovery:
 
 class TestHangWatchdog:
     def test_hung_stage_is_killed_and_retried(self, small_dataset):
-        plan = EngineFaultPlan(
-            stages={"left": EngineFaultSpec(hang=1.0, hang_seconds=30.0)}
+        plan = FaultPlan(
+            overrides={"left": EngineFaultSpec(hang=1.0, hang_seconds=30.0)}
         )
         ctx = StageContext(dataset=small_dataset)
         start = time.monotonic()
@@ -172,8 +178,8 @@ class TestHangWatchdog:
         assert elapsed < 15.0
 
     def test_persistent_hang_is_quarantined_not_infinite(self, small_dataset):
-        plan = EngineFaultPlan(
-            stages={
+        plan = FaultPlan(
+            overrides={
                 "left": EngineFaultSpec(
                     hang=1.0, hang_seconds=30.0, max_faulted_attempts=99
                 )
@@ -191,7 +197,7 @@ class TestHangWatchdog:
 
 class TestDeterministicFailures:
     def test_error_fault_quarantines_with_stage_name(self, small_dataset):
-        plan = EngineFaultPlan(stages={"left": EngineFaultSpec(error=1.0)})
+        plan = FaultPlan(overrides={"left": EngineFaultSpec(error=1.0)})
         ctx = StageContext(dataset=small_dataset)
         with pytest.raises(StageFailedError) as excinfo:
             Engine(jobs=2, faults=plan).run(_small_graph(), ctx)
@@ -211,7 +217,7 @@ class TestDeterministicFailures:
                 Stage(name="slow", fn=_slowish),
             ]
         )
-        plan = EngineFaultPlan(stages={"bad": EngineFaultSpec(error=1.0)})
+        plan = FaultPlan(overrides={"bad": EngineFaultSpec(error=1.0)})
         ctx = StageContext(dataset=small_dataset)
         start = time.monotonic()
         with pytest.raises(StageFailedError, match="bad"):
@@ -228,9 +234,9 @@ class TestStudyByteIdentityUnderFaults:
         study = SteamStudy(world=small_world, _dataset=small_world.dataset)
         clean = study.run(include_table4=False).render()
         obs = Obs()
-        plan = EngineFaultPlan(
+        plan = FaultPlan(
             seed=7,
-            stages={
+            overrides={
                 "fig4": EngineFaultSpec(crash=1.0),
                 "table2": EngineFaultSpec(crash=1.0),
             },

@@ -204,7 +204,8 @@ class TestSpanTreeParity:
     def test_fault_fallback_span_tree_matches_clean_run(
         self, small_dataset
     ):
-        from repro.engine import EngineFaultPlan, EngineFaultSpec
+        from repro.engine import EngineFaultSpec
+        from repro.faults import FaultPlan
 
         ctx = StageContext(
             dataset=small_dataset,
@@ -218,8 +219,8 @@ class TestSpanTreeParity:
         with clean_obs.span("run"):
             Engine(jobs=2, obs=clean_obs).run(_diamond_graph(), ctx)
 
-        plan = EngineFaultPlan(
-            stages={
+        plan = FaultPlan(
+            overrides={
                 "left": EngineFaultSpec(crash=1.0, max_faulted_attempts=99)
             }
         )

@@ -10,12 +10,9 @@ import pytest
 
 from repro.crawler.retry import RetryPolicy
 from repro.crawler.runner import run_full_crawl
+from repro.faults import FaultPlan
 from repro.obs import FakeClock, Obs
-from repro.steamapi.faults import (
-    FaultInjectingTransport,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.steamapi.faults import FaultInjectingTransport, FaultSpec
 from repro.steamapi.service import SteamApiService
 from repro.steamapi.transport import InProcessTransport
 

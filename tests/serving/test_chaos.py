@@ -22,13 +22,13 @@ import pytest
 
 import random
 
+from repro.faults import FaultPlan
 from repro.obs import Obs
 from repro.serving import (
     AdmissionConfig,
     AnalyticsService,
     ChaosAnalyticsService,
     ChaosDispatch,
-    ServingFaultPlan,
     ServingFaultSpec,
     serve_analytics,
 )
@@ -43,7 +43,7 @@ def _echo(path, params):
 
 class TestChaosDispatch:
     def test_fault_sequence_is_seeded(self):
-        plan = ServingFaultPlan(
+        plan = FaultPlan(
             seed=11,
             default=ServingFaultSpec(stall=0.2, abort=0.2, crash=0.2),
         )
@@ -68,7 +68,7 @@ class TestChaosDispatch:
 
     def test_different_seeds_differ(self):
         def drive(seed):
-            plan = ServingFaultPlan(
+            plan = FaultPlan(
                 seed=seed, default=ServingFaultSpec(crash=0.5)
             )
             chaos = ChaosDispatch(_echo, plan, sleep=lambda s: None)
@@ -85,7 +85,7 @@ class TestChaosDispatch:
 
     def test_stall_spends_time_but_not_correctness(self):
         slept = []
-        plan = ServingFaultPlan(
+        plan = FaultPlan(
             seed=0,
             default=ServingFaultSpec(stall=1.0, stall_range=(0.01, 0.02)),
         )
@@ -96,7 +96,7 @@ class TestChaosDispatch:
         assert 0.01 <= slept[0] <= 0.02
 
     def test_abort_carries_the_real_body_prefix(self):
-        plan = ServingFaultPlan(seed=3, default=ServingFaultSpec(abort=1.0))
+        plan = FaultPlan(seed=3, default=ServingFaultSpec(abort=1.0))
         chaos = ChaosDispatch(_echo, plan)
         with pytest.raises(AbortedResponse) as excinfo:
             chaos("/req", {})
@@ -105,7 +105,7 @@ class TestChaosDispatch:
         assert 1 <= exc.cut < len(exc.body)
 
     def test_probes_are_exempt(self):
-        plan = ServingFaultPlan(seed=0, default=ServingFaultSpec(crash=1.0))
+        plan = FaultPlan(seed=0, default=ServingFaultSpec(crash=1.0))
         chaos = ChaosDispatch(_echo, plan)
         for path in ("/healthz", "/readyz", "/metrics"):
             assert chaos(path, {})["path"] == path
@@ -114,7 +114,7 @@ class TestChaosDispatch:
             chaos("/data", {})
 
     def test_burst_turns_one_fault_into_an_outage(self):
-        plan = ServingFaultPlan(
+        plan = FaultPlan(
             seed=5, default=ServingFaultSpec(crash=0.05, burst=4)
         )
         chaos = ChaosDispatch(_echo, plan)
@@ -138,7 +138,7 @@ class TestChaosDispatch:
 
     def test_injected_faults_are_counted(self):
         obs = Obs()
-        plan = ServingFaultPlan(seed=0, default=ServingFaultSpec(crash=1.0))
+        plan = FaultPlan(seed=0, default=ServingFaultSpec(crash=1.0))
         chaos = ChaosDispatch(_echo, plan, obs=obs)
         for i in range(3):
             with pytest.raises(InjectedCrash):
@@ -150,7 +150,7 @@ class TestChaosDispatch:
 
 class TestChaosOverHttp:
     def test_abort_surfaces_as_incomplete_read(self, serving_store):
-        plan = ServingFaultPlan(seed=2, default=ServingFaultSpec(abort=1.0))
+        plan = FaultPlan(seed=2, default=ServingFaultSpec(abort=1.0))
         obs = Obs()
         service = ChaosAnalyticsService(serving_store, plan, obs=obs)
         with serve_analytics(service, obs=obs) as server:
@@ -180,7 +180,7 @@ class TestChaosOverHttp:
             assert requests.value(path="/tailfit/<attr>", status=200) == 0
 
     def test_crash_is_contained_as_opaque_500(self, serving_store):
-        plan = ServingFaultPlan(seed=2, default=ServingFaultSpec(crash=1.0))
+        plan = FaultPlan(seed=2, default=ServingFaultSpec(crash=1.0))
         obs = Obs()
         service = ChaosAnalyticsService(serving_store, plan, obs=obs)
         with serve_analytics(service, obs=obs) as server:
@@ -205,7 +205,7 @@ class TestChaosOverHttp:
         """A stalled handler with an exhausted budget dies with the
         typed 504 at the next layer boundary — and consecutive
         blowouts trip the route's breaker into fast 429s."""
-        plan = ServingFaultPlan(
+        plan = FaultPlan(
             seed=4,
             default=ServingFaultSpec(stall=1.0, stall_range=(0.05, 0.06)),
         )
@@ -268,7 +268,7 @@ class TestStormAcceptance:
         # Stall every admitted request a few ms so the 8-client storm
         # genuinely overruns the 2-slot budget: the stall happens
         # *inside* admission, holding the slot like a slow store scan.
-        plan = ServingFaultPlan(
+        plan = FaultPlan(
             seed=6,
             default=ServingFaultSpec(stall=1.0, stall_range=(0.003, 0.006)),
         )
@@ -306,7 +306,7 @@ class TestStormAcceptance:
             assert body == reference_bodies[path], path
 
     def test_probes_answer_during_the_storm(self, serving_store, storm_paths):
-        plan = ServingFaultPlan(
+        plan = FaultPlan(
             seed=1,
             default=ServingFaultSpec(stall=1.0, stall_range=(0.01, 0.02)),
         )
@@ -349,7 +349,7 @@ class TestStormAcceptance:
         the hint values must not)."""
 
         def once():
-            plan = ServingFaultPlan(
+            plan = FaultPlan(
                 seed=3,
                 default=ServingFaultSpec(
                     stall=1.0, stall_range=(0.002, 0.004)

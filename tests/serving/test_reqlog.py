@@ -19,6 +19,7 @@ import urllib.request
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.obs import Obs
 from repro.obs.clock import FakeClock
 from repro.obs.reqlog import LAYERS, RequestLog, encode_record
@@ -27,7 +28,6 @@ from repro.serving import (
     AdmissionConfig,
     AnalyticsService,
     ChaosAnalyticsService,
-    ServingFaultPlan,
     ServingFaultSpec,
     serve_analytics,
 )
@@ -119,7 +119,7 @@ class TestDispatchRecords:
         clock = FakeClock(tick=0.001)
         crash_service = ChaosAnalyticsService(
             serving_store,
-            ServingFaultPlan(seed=0, default=ServingFaultSpec(crash=1.0)),
+            FaultPlan(seed=0, default=ServingFaultSpec(crash=1.0)),
             request_log=RequestLog(clock=clock),
         )
         with pytest.raises(InjectedCrash):
@@ -130,7 +130,7 @@ class TestDispatchRecords:
 
         abort_service = ChaosAnalyticsService(
             serving_store,
-            ServingFaultPlan(seed=0, default=ServingFaultSpec(abort=1.0)),
+            FaultPlan(seed=0, default=ServingFaultSpec(abort=1.0)),
             request_log=RequestLog(clock=FakeClock(tick=0.001)),
         )
         with pytest.raises(AbortedResponse):
@@ -147,7 +147,7 @@ class TestDispatchRecords:
         clock = FakeClock()
         service = ChaosAnalyticsService(
             serving_store,
-            ServingFaultPlan(
+            FaultPlan(
                 seed=1,
                 default=ServingFaultSpec(stall=1.0, stall_range=(0.05, 0.05)),
             ),
@@ -267,7 +267,7 @@ class TestStormRecords:
         obs = Obs()
         log = RequestLog(capacity=4096, clock=obs.clock)
         slo = SLOTracker([SLOSpec(route="*")], clock=obs.clock)
-        plan = ServingFaultPlan(
+        plan = FaultPlan(
             seed=6,
             default=ServingFaultSpec(
                 stall=0.2, abort=0.2, crash=0.2, stall_range=(0.001, 0.003)
@@ -341,7 +341,7 @@ class TestStormRecords:
     def test_burn_alerts_fire_under_storm_and_stay_silent_clean(
         self, serving_store, storm_paths
     ):
-        def storm(plan: ServingFaultPlan | None) -> SLOTracker:
+        def storm(plan: FaultPlan | None) -> SLOTracker:
             slo = SLOTracker([SLOSpec(route="*", latency_threshold_s=60.0)])
             if plan is None:
                 service = AnalyticsService(serving_store, slo=slo)
@@ -362,7 +362,7 @@ class TestStormRecords:
             return slo
 
         chaotic = storm(
-            ServingFaultPlan(seed=2, default=ServingFaultSpec(crash=0.5))
+            FaultPlan(seed=2, default=ServingFaultSpec(crash=0.5))
         )
         alerts = chaotic.evaluate()
         assert any(a.firing for a in alerts)
@@ -391,7 +391,7 @@ class TestStormRecords:
             log = RequestLog(clock=clock)
             service = ChaosAnalyticsService(
                 serving_store,
-                ServingFaultPlan(
+                FaultPlan(
                     seed=7,
                     default=ServingFaultSpec(
                         stall=0.3,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.simworld.rng import spawn_many, substream
+from repro.simworld.rng import substream
 
 
 class TestSubstream:
@@ -24,14 +24,3 @@ class TestSubstream:
     def test_unicode_labels(self):
         assert substream(1, "лейбл").random(1) is not None
 
-
-class TestSpawnMany:
-    def test_children_are_independent_and_reproducible(self):
-        first = [g.random(4) for g in spawn_many(7, "workers", 3)]
-        second = [g.random(4) for g in spawn_many(7, "workers", 3)]
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
-        assert not np.array_equal(first[0], first[1])
-
-    def test_count(self):
-        assert len(spawn_many(7, "x", 5)) == 5

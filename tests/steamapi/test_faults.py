@@ -4,18 +4,14 @@ import json
 
 import pytest
 
+from repro.faults import FaultPlan, draw, pick
 from repro.steamapi.errors import (
     ApiError,
     MalformedResponseError,
     RateLimitedError,
     RequestTimeoutError,
 )
-from repro.steamapi.faults import (
-    FAULT_KINDS,
-    FaultInjectingTransport,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.steamapi.faults import FaultInjectingTransport, FaultSpec
 
 
 class Echo:
@@ -27,6 +23,10 @@ class Echo:
     def request(self, path, params):
         self.calls += 1
         return {"path": path, "ok": True}
+
+
+def _uniform(rate, seed):
+    return FaultPlan(seed=seed, default=FaultSpec.uniform(rate))
 
 
 def _drive(transport, n, path="/x"):
@@ -51,15 +51,15 @@ class TestFaultSpec:
             FaultSpec(burst=0)
 
     def test_uniform_plan_splits_rate(self):
-        plan = FaultPlan.uniform(0.2, seed=3)
+        plan = FaultPlan(seed=3, default=FaultSpec.uniform(0.2))
         assert plan.default.total_rate == pytest.approx(0.2)
-        for kind in FAULT_KINDS:
+        for kind in FaultSpec.KINDS:
             assert getattr(plan.default, kind) == pytest.approx(0.05)
 
 
 class TestDeterminism:
     def test_same_seed_same_fault_sequence(self):
-        plan = FaultPlan.uniform(0.3, seed=11)
+        plan = FaultPlan(seed=11, default=FaultSpec.uniform(0.3))
         a = _drive(FaultInjectingTransport(Echo(), plan), 500)
         b = _drive(FaultInjectingTransport(Echo(), plan), 500)
         assert a == b
@@ -67,18 +67,18 @@ class TestDeterminism:
 
     def test_different_seed_different_sequence(self):
         a = _drive(
-            FaultInjectingTransport(Echo(), FaultPlan.uniform(0.3, seed=1)),
+            FaultInjectingTransport(Echo(), _uniform(0.3, seed=1)),
             500,
         )
         b = _drive(
-            FaultInjectingTransport(Echo(), FaultPlan.uniform(0.3, seed=2)),
+            FaultInjectingTransport(Echo(), _uniform(0.3, seed=2)),
             500,
         )
         assert a != b
 
     def test_counters_track_outcomes(self):
         faulty = FaultInjectingTransport(
-            Echo(), FaultPlan.uniform(0.4, seed=5)
+            Echo(), FaultPlan(seed=5, default=FaultSpec.uniform(0.4))
         )
         outcomes = _drive(faulty, 1000)
         injected = sum(1 for x in outcomes if x is not None)
@@ -86,7 +86,7 @@ class TestDeterminism:
         assert faulty.requests_seen == 1000
         assert sum(faulty.faults_by_endpoint.values()) == injected
         # ~40% fault rate: all four kinds should have fired.
-        assert all(faulty.fault_counts[k] > 0 for k in FAULT_KINDS)
+        assert all(faulty.fault_counts[k] > 0 for k in FaultSpec.KINDS)
 
 
 class TestFaultKinds:
@@ -153,11 +153,19 @@ class TestBursts:
         assert runs, "no faults fired"
         assert all(run >= 4 for run in runs)
 
-    def test_burst_of_one_is_independent(self):
-        plan = FaultPlan(seed=9, default=FaultSpec(server_error=0.5, burst=1))
-        faulty = FaultInjectingTransport(Echo(), plan)
-        _drive(faulty, 200)
-        assert faulty._chooser._burst_left == 0
+    def test_burst_of_one_decides_each_request_alone(self):
+        spec = FaultSpec(server_error=0.5, burst=1)
+        faulty = FaultInjectingTransport(
+            Echo(), FaultPlan(seed=9, default=spec)
+        )
+        outcomes = _drive(faulty, 200)
+        # Request n's fate is draw(seed, n) alone: no state carries over.
+        expected = [
+            "ApiError" if pick(spec, draw(9, n)[0]) else None
+            for n in range(200)
+        ]
+        assert outcomes == expected
+        assert None in outcomes and "ApiError" in outcomes
 
 
 class TestPerEndpointSpecs:
@@ -165,7 +173,7 @@ class TestPerEndpointSpecs:
         plan = FaultPlan(
             seed=0,
             default=FaultSpec(),
-            endpoints={
+            overrides={
                 "/ISteamUser": FaultSpec(rate_limit=1.0),
                 "/ISteamUser/GetFriendList": FaultSpec(timeout=1.0),
             },
@@ -181,7 +189,7 @@ class TestPerEndpointSpecs:
     def test_faults_by_endpoint_counter(self):
         plan = FaultPlan(
             seed=0,
-            endpoints={"/a": FaultSpec(server_error=1.0)},
+            overrides={"/a": FaultSpec(server_error=1.0)},
         )
         faulty = FaultInjectingTransport(Echo(), plan)
         for _ in range(3):

@@ -101,7 +101,8 @@ class TestHttpChaos:
 
     def test_truncated_body_surfaces_as_malformed(self, small_world):
         from repro.steamapi.errors import MalformedResponseError
-        from repro.steamapi.faults import FaultPlan, FaultSpec
+        from repro.faults import FaultPlan
+        from repro.steamapi.faults import FaultSpec
 
         service = SteamApiService.from_world(small_world)
         plan = FaultPlan(seed=4, default=FaultSpec(malformed=1.0))
@@ -122,7 +123,8 @@ class TestHttpChaos:
         from repro.crawler.retry import RetryPolicy
         from repro.crawler.session import CrawlSession
         from repro.crawler.throttle import PolitePacer
-        from repro.steamapi.faults import FaultPlan
+        from repro.faults import FaultPlan
+        from repro.steamapi.faults import FaultSpec
         from repro.steamapi.transport import InProcessTransport
 
         def session(transport):
@@ -140,7 +142,7 @@ class TestHttpChaos:
             session(InProcessTransport(service)), steamids
         )
 
-        plan = FaultPlan.uniform(0.15, seed=21)
+        plan = FaultPlan(seed=21, default=FaultSpec.uniform(0.15))
         with serve(service, fault_plan=plan) as running:
             harvest = crawl_details(
                 session(HttpTransport(running.base_url)), steamids

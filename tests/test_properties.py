@@ -119,26 +119,3 @@ class TestAnchoredCurveProperties:
         )
         for q, x in zip(qs, xs):
             assert curve.ppf(q) == pytest.approx(x, rel=1e-9)
-
-
-class TestSteamIdProperties:
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=60)
-    def test_text_form_parses_back(self, account):
-        from repro import steamid
-
-        sid = steamid.to_steamid64(account)
-        text = steamid.to_text(sid)
-        assert text.startswith("STEAM_")
-        assert steamid.from_text(text) == sid
-
-    @given(
-        st.integers(min_value=0, max_value=2**31),
-        st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=40)
-    def test_ordering_preserved(self, a, b):
-        from repro import steamid
-
-        sid_a, sid_b = steamid.to_steamid64(a), steamid.to_steamid64(b)
-        assert (a < b) == (sid_a < sid_b)
