@@ -19,9 +19,10 @@ stats, neighborhoods).  Measures:
   into the handler tail,
 - aggregate throughput and the ok-rate (any non-200 fails the bench
   outright; the recorded ok_rate lets CI gate drift explicitly),
-- request-log overhead: a serial dispatch loop with and without the
-  log attached must stay within 5% (asserted outright, recorded as a
-  ratio).
+- request-log overhead: keep-alive requests against a server with and
+  without the log attached, in interleaved rounds of 360 requests; the
+  median per-pair ratio must stay within 5% (asserted outright,
+  recorded as a ratio).
 
 Scales via ``REPRO_BENCH_USERS`` (world size, default 60,000) and
 ``REPRO_BENCH_CLIENTS`` (simulated clients, default 2,000).  Clients
@@ -53,6 +54,10 @@ SERVING_SEED = 1603
 #: the client side is bounded so the bench machine isn't thread-bombed.
 CLIENT_POOL = min(64, SERVING_CLIENTS)
 REQUESTS_PER_CLIENT = 6
+#: Request-log overhead guard: interleaved bare/logged round pairs, and
+#: passes over its 18-path mix per round (360 requests).
+OVERHEAD_ROUNDS = 15
+OVERHEAD_ROUND_REPEATS = 20
 
 
 @pytest.fixture(scope="module")
@@ -158,47 +163,69 @@ def test_serving_benchmark(serving_world, tmp_path, record, record_json):
     assert not any(alert.firing for alert in slo.evaluate())
 
     # -- request-log overhead guard ---------------------------------------
-    # Serial keep-alive requests against an instrumented server must
-    # stay within 5% of a bare one: the wide-event record (plus the
-    # exemplar it pins into the latency histogram, plus the SLO window
-    # increments) is a handful of clock reads and a dict per request,
-    # not a tax on serving throughput.  Best-of-N serial rounds cancel
-    # scheduler noise; the mix is cache-warm so the substrate — not the
-    # store — is the denominator, which is the harshest framing for a
-    # fixed per-request cost.
+    # Keep-alive requests against an instrumented server must stay
+    # within 5% of a bare one: the wide-event record (plus the exemplar
+    # it pins into the latency histogram, plus the SLO window
+    # increments) should be a handful of clock reads and a dict per
+    # request, not a tax on serving throughput.  The mix is cache-warm
+    # so the substrate — not the store — is the denominator, which is
+    # the harshest framing for a fixed per-request cost.  A round is 360
+    # requests (~0.1 s), long enough that timer and scheduler jitter
+    # stay small against it; bare and logged rounds interleave,
+    # alternating which goes first, so host drift hits both sides
+    # alike; the guard is the median of the per-pair ratios.
     overhead_paths = [
         f"/users/{int(steamids[i % len(steamids)])}/summary"
         for i in range(16)
     ] + ["/tailfit/friends", "/homophily/owned_games"]
 
-    def serial_seconds(with_log: bool) -> float:
-        target = AnalyticsService(
-            store,
-            request_log=RequestLog(capacity=64) if with_log else None,
-            slo=SLOTracker([SLOSpec(route="*")]) if with_log else None,
+    def overhead_server(with_log: bool):
+        return serve_analytics(
+            AnalyticsService(
+                store,
+                request_log=RequestLog(capacity=64) if with_log else None,
+                slo=SLOTracker([SLOSpec(route="*")]) if with_log else None,
+            ),
+            access_log=False,
         )
-        with serve_analytics(target, access_log=False) as running:
-            host, port = running.server.server_address[:2]
-            conn = http.client.HTTPConnection(host, port, timeout=60)
-            try:
-                best = float("inf")
-                for round_index in range(6):
-                    t0 = time.perf_counter()
-                    for path in overhead_paths:
-                        conn.request("GET", path)
-                        response = conn.getresponse()
-                        assert response.status == 200
-                        response.read()
-                    elapsed = time.perf_counter() - t0
-                    if round_index > 0:  # round 0 warms cache + socket
-                        best = min(best, elapsed)
-            finally:
-                conn.close()
-        return best
 
-    bare_seconds = serial_seconds(with_log=False)
-    logged_seconds = serial_seconds(with_log=True)
-    overhead_ratio = logged_seconds / bare_seconds
+    def round_seconds(conn: http.client.HTTPConnection) -> float:
+        t0 = time.perf_counter()
+        for _ in range(OVERHEAD_ROUND_REPEATS):
+            for path in overhead_paths:
+                conn.request("GET", path)
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+        return time.perf_counter() - t0
+
+    with overhead_server(False) as bare, overhead_server(True) as logged:
+        conns = [
+            http.client.HTTPConnection(
+                *running.server.server_address[:2], timeout=60
+            )
+            for running in (bare, logged)
+        ]
+        try:
+            for conn in conns:  # warms the cache, socket and thread
+                round_seconds(conn)
+            bare_rounds, logged_rounds = [], []
+            for round_index in range(OVERHEAD_ROUNDS):
+                if round_index % 2 == 0:
+                    bare_rounds.append(round_seconds(conns[0]))
+                    logged_rounds.append(round_seconds(conns[1]))
+                else:
+                    logged_rounds.append(round_seconds(conns[1]))
+                    bare_rounds.append(round_seconds(conns[0]))
+        finally:
+            for conn in conns:
+                conn.close()
+    overhead_ratio = float(
+        np.median(np.array(logged_rounds) / np.array(bare_rounds))
+    )
+    per_request = OVERHEAD_ROUND_REPEATS * len(overhead_paths)
+    bare_request_s = float(np.median(bare_rounds)) / per_request
+    logged_request_s = float(np.median(logged_rounds)) / per_request
     assert overhead_ratio < 1.05, (
         f"request logging costs {(overhead_ratio - 1) * 100:.1f}% "
         "of serving throughput; the budget is 5%"
@@ -224,8 +251,10 @@ def test_serving_benchmark(serving_world, tmp_path, record, record_json):
             f"response cache: {cache_stats['hits']} hits / "
             f"{cache_stats['misses']} misses",
             f"request-log overhead: {(overhead_ratio - 1) * 100:+.1f}% "
-            f"on serial serving ({bare_seconds * 1e3:.1f}ms bare vs "
-            f"{logged_seconds * 1e3:.1f}ms logged per round)",
+            f"on keep-alive serving (median of {OVERHEAD_ROUNDS} "
+            f"interleaved pairs of {per_request}-request rounds; "
+            f"{bare_request_s * 1e3:.3f}ms bare vs "
+            f"{logged_request_s * 1e3:.3f}ms logged per request)",
         ],
     )
     record_json(

@@ -56,8 +56,9 @@ MAX_INFLIGHT = max(1, STORM_CLIENTS // 4)
 REQUESTS_PER_CLIENT = 25
 #: Every admitted request stalls this long inside admission — the
 #: stand-in for a slow store scan, and what makes capacity real.  It
-#: must dominate per-request transport overhead (~40ms of delayed-ACK
-#: on loopback keep-alive) or the storm never overruns the budget.
+#: must dominate per-request transport overhead (~1ms on loopback
+#: keep-alive, each response being one send) or the storm never
+#: overruns the budget.
 STALL_RANGE = (0.04, 0.08)
 
 

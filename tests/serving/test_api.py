@@ -89,6 +89,34 @@ class TestResponseCache:
         serving_service.dispatch(path, {"q": "20"})
         assert serving_service.cache.stats()["misses"] == 2
 
+    def test_user_tags_match_their_derivation(
+        self, serving_service, small_dataset
+    ):
+        from repro.core.percentiles import ATTRIBUTES
+        from repro.serving.api import (
+            _tags_user_neighborhood,
+            _tags_user_summary,
+        )
+
+        for steamid in small_dataset.accounts.steamids()[:20]:
+            match = {"steamid": str(steamid)}
+            summary = serving_service.dispatch(
+                f"/users/{steamid}/summary", {}
+            )
+            assert _tags_user_summary(match, summary) == frozenset(
+                {f"user:{int(steamid)}"} | {f"attr:{a}" for a in ATTRIBUTES}
+            )
+            neighborhood = serving_service.dispatch(
+                f"/users/{steamid}/neighborhood", {"limit": "10"}
+            )
+            friends = neighborhood["friends"]
+            assert _tags_user_neighborhood(
+                match, neighborhood
+            ) == frozenset(
+                {f"user:{int(steamid)}"}
+                | {f"user:{int(f['steamid'])}" for f in friends}
+            )
+
     def test_healthz_is_never_cached(self, serving_service):
         serving_service.dispatch("/healthz", {})
         serving_service.dispatch("/healthz", {})

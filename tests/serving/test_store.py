@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -26,6 +30,26 @@ class TestBuild:
 
     def test_fingerprint_matches_dataset(self, serving_store, small_dataset):
         assert serving_store.fingerprint == small_dataset.fingerprint()
+
+    def test_build_leaves_scipy_stats_unloaded(self):
+        """``scipy.stats`` costs ~20 MB of resident memory; the serving
+        read path (tail fits included) must not pull it in."""
+        script = (
+            "import sys, repro;"
+            "from repro.serving import AnalyticsStore;"
+            "world = repro.SteamWorld.generate("
+            "repro.WorldConfig(n_users=1000, seed=5));"
+            "AnalyticsStore.build(world.dataset, max_tail=500);"
+            "print('scipy.stats' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=os.environ.copy(),
+            check=True,
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestUserQueries:

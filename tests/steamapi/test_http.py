@@ -1,5 +1,7 @@
 """JSON-over-HTTP transport against a live localhost server."""
 
+import http.client
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.steamapi.errors import (
     UnauthorizedError,
 )
 from repro.steamapi.http_client import HttpTransport
-from repro.steamapi.http_server import serve
+from repro.steamapi.http_server import serve, serve_dispatch
 from repro.steamapi.service import DEFAULT_API_KEY, SteamApiService
 
 
@@ -223,3 +225,76 @@ class TestTracePropagation:
             for s in server_obs.tracer.snapshot()
             if s["name"].startswith("http:")
         ]
+
+
+class _RecordingWriter:
+    """A handler's ``wfile`` that logs every write before passing it on."""
+
+    def __init__(self, inner, sends: list[bytes]) -> None:
+        self._inner = inner
+        self._sends = sends
+
+    def write(self, data) -> int:
+        self._sends.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestOneSendPerResponse:
+    """Head and body leave in one write.  Two writes with Nagle on hold
+    the body behind the client's delayed ACK (~40 ms per keep-alive
+    request)."""
+
+    @pytest.fixture()
+    def recorded(self, monkeypatch):
+        def dispatch(path, params):
+            if path == "/limited":
+                raise RateLimitedError("slow down", retry_after=1.5)
+            if path == "/boom":
+                raise RuntimeError("internals")
+            # Larger than the stdlib's 8 KiB write buffer would hold.
+            return {"pad": "x" * 17_000}
+
+        sends: list[bytes] = []
+        with serve_dispatch(dispatch) as running:
+            handler = running.server.RequestHandlerClass
+            setup = handler.setup
+
+            def recording_setup(self):
+                setup(self)
+                self.wfile = _RecordingWriter(self.wfile, sends)
+
+            monkeypatch.setattr(handler, "setup", recording_setup)
+            yield running, sends
+
+    @pytest.mark.parametrize(
+        "path, status",
+        [
+            ("/data", 200),
+            ("/limited", 429),
+            ("/boom", 500),
+            ("/metrics", 200),
+        ],
+    )
+    def test_response_is_one_send(self, recorded, path, status):
+        running, sends = recorded
+        host, port = running.server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            for _ in range(2):  # both requests on one keep-alive socket
+                sends.clear()
+                conn.request("GET", path)
+                response = conn.getresponse()
+                body = response.read()
+                assert response.status == status
+                assert len(sends) == 1
+                assert sends[0].startswith(f"HTTP/1.1 {status} ".encode())
+                assert sends[0].endswith(b"\r\n\r\n" + body)
+        finally:
+            conn.close()
+        if status == 429:
+            assert response.getheader("Retry-After") == "1.500"
+        if status == 500:
+            assert body == b'{"error": "InternalError"}'

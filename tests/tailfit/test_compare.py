@@ -47,6 +47,26 @@ class TestLoglikelihoodRatio:
         vuong = loglikelihood_ratio(ll_a, ll_b, nested=False)
         assert nested.p < vuong.p
 
+    def test_nested_p_is_one_minus_chi2_cdf_bit_for_bit(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(20)
+        grid = np.concatenate(
+            [
+                [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 30.0, 1e300],
+                rng.exponential(1.0, 400),
+                rng.exponential(40.0, 400),
+                10.0 ** rng.uniform(-300, 3, 400),
+            ]
+        )
+        for R in np.concatenate([grid, -grid]):
+            # One point with ll_a - ll_b = R: the summed ratio is R.
+            result = loglikelihood_ratio([R], [0.0], nested=True)
+            expected = float(1.0 - stats.chi2.cdf(2.0 * abs(R), df=1))
+            assert np.float64(result.p).tobytes() == (
+                np.float64(expected).tobytes()
+            ), R
+
     def test_iterable_unpacking(self, rng):
         a = rng.normal(0, 1, 100)
         R, p = loglikelihood_ratio(a, a - 1.0)
