@@ -232,8 +232,10 @@ def run_storm(
     Client ``c`` cycles through ``paths`` from the offset
     ``draw(seed, c)`` picks, so the exact request mix is reproducible
     and every path is requested about equally often.
-    No backoff, no retries: the point is to overrun admission and
-    observe the shed behavior.
+    No retries: a shed request stays shed.  A shed client waits out
+    its ``Retry-After`` hint before its next request, as a polite
+    client would, instead of spending its budget on sub-millisecond
+    429s while the admitted requests still hold their slots.
     """
     status_counts: dict[int, int] = {}
     accepted: list[tuple[str, bytes]] = []
@@ -265,6 +267,7 @@ def run_storm(
                     )
                     continue
                 elapsed = time.monotonic() - start
+                pause = 0.0
                 with lock:
                     status_counts[response.status] = (
                         status_counts.get(response.status, 0) + 1
@@ -275,7 +278,10 @@ def run_storm(
                     elif response.status == 429:
                         hint = response.getheader("Retry-After")
                         if hint is not None:
-                            retry_after.append(float(hint))
+                            pause = float(hint)
+                            retry_after.append(pause)
+                if pause:
+                    time.sleep(pause)
         finally:
             conn.close()
 
