@@ -29,11 +29,9 @@ def main() -> None:
     service = SteamApiService.from_world(study.world)
 
     t0 = time.time()
-    with serve(service) as server:
+    with serve(service) as server, HttpTransport(server.base_url) as transport:
         print(f"API server listening on {server.base_url}")
-        result = run_full_crawl(
-            HttpTransport(server.base_url), snapshot2=truth.snapshot2
-        )
+        result = run_full_crawl(transport, snapshot2=truth.snapshot2)
     crawled = result.dataset
     elapsed = time.time() - t0
     print(

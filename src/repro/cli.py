@@ -249,15 +249,13 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         from repro.steamapi.service import SteamApiService
 
         service = SteamApiService.from_world(study.world, obs=obs)
-        with serve(service, obs=obs) as server:
+        with serve(service, obs=obs) as server, HttpTransport(
+            server.base_url,
+            trace=obs.trace if obs else None,
+            tracer=obs.tracer if obs else None,
+        ) as transport:
             result = run_full_crawl(
-                HttpTransport(
-                    server.base_url,
-                    trace=obs.trace if obs else None,
-                    tracer=obs.tracer if obs else None,
-                ),
-                snapshot2=study.dataset.snapshot2,
-                obs=obs,
+                transport, snapshot2=study.dataset.snapshot2, obs=obs
             )
         crawled = SteamStudy(world=study.world, _dataset=result.dataset)
         requests = result.requests_made

@@ -17,11 +17,6 @@ from repro.core.binning import Series
 __all__ = ["ascii_plot", "ascii_cdf", "ascii_panel", "ascii_bars"]
 
 
-def _log_ticks(lo: float, hi: float, n: int) -> np.ndarray:
-    lo = max(lo, 1e-12)
-    return np.geomspace(lo, max(hi, lo * 1.0001), n)
-
-
 def ascii_plot(
     series: list[Series],
     width: int = 72,

@@ -234,13 +234,15 @@ class PipelineSupervisor:
                     from repro.steamapi.http_client import HttpTransport
                     from repro.steamapi.http_server import serve as serve_http
 
-                    with serve_http(service, obs=self.obs) as server:
+                    with serve_http(
+                        service, obs=self.obs
+                    ) as server, HttpTransport(
+                        server.base_url,
+                        trace=self.obs.trace if self.obs else None,
+                        tracer=self.obs.tracer if self.obs else None,
+                    ) as transport:
                         result = run_full_crawl(
-                            HttpTransport(
-                                server.base_url,
-                                trace=self.obs.trace if self.obs else None,
-                                tracer=self.obs.tracer if self.obs else None,
-                            ),
+                            transport,
                             checkpoint=checkpoint,
                             snapshot2=world.dataset.snapshot2,
                             obs=self.obs,

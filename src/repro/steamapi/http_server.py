@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
@@ -113,10 +114,10 @@ class HttpLimits:
 class DrainingThreadingHTTPServer(ThreadingHTTPServer):
     """``ThreadingHTTPServer`` whose shutdown cannot hang on a client.
 
-    Handler threads are daemonic and tracked in a set; :meth:`drain`
-    joins them against one shared deadline and returns whichever are
-    still alive, so ``close()`` is bounded even when a handler is
-    wedged mid-request behind a stalled client socket.
+    Handler threads are daemonic and tracked with their connections;
+    :meth:`drain` half-closes those, joins the threads against one
+    shared deadline and returns whichever are still alive, so ``close()``
+    is bounded even when a handler is wedged behind a stalled client.
     """
 
     daemon_threads = True
@@ -126,31 +127,36 @@ class DrainingThreadingHTTPServer(ThreadingHTTPServer):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._handler_threads: set[threading.Thread] = set()
+        self._handlers: dict[threading.Thread, socket.socket] = {}
         self._handler_lock = threading.Lock()
 
     def process_request_thread(self, request, client_address) -> None:
         thread = threading.current_thread()
         with self._handler_lock:
-            self._handler_threads.add(thread)
+            self._handlers[thread] = request
         try:
             super().process_request_thread(request, client_address)
         finally:
             with self._handler_lock:
-                self._handler_threads.discard(thread)
+                del self._handlers[thread]
 
     def drain(self, timeout: float) -> list[threading.Thread]:
         """Join in-flight handlers for at most ``timeout`` seconds total.
 
-        Returns the threads that were still alive at the deadline
-        (daemonic, so they cannot keep the process hostage).
+        Connections are first shut for reading, so idle keep-alive
+        handlers read EOF at once while busy ones still reply.  Returns
+        the threads that were still alive at the deadline (daemonic, so
+        they cannot keep the process hostage).
         """
         deadline = time.monotonic() + timeout
         with self._handler_lock:
-            threads = list(self._handler_threads)
-        for thread in threads:
+            handlers = dict(self._handlers)
+        for conn in handlers.values():
+            with suppress(OSError):
+                conn.shutdown(socket.SHUT_RD)
+        for thread in handlers:
             thread.join(max(0.0, deadline - time.monotonic()))
-        return [thread for thread in threads if thread.is_alive()]
+        return [thread for thread in handlers if thread.is_alive()]
 
 
 def _make_handler(
@@ -294,7 +300,10 @@ def _make_handler(
                         m_aborted.inc()
                         status = 499
                         t_write = obs.clock()
-                        self._reply_aborted(exc)
+                        self._reply(
+                            200, exc.body[: exc.cut], length=len(exc.body)
+                        )
+                        self.close_connection = True
                         write_s = obs.clock() - t_write
                         bytes_out = exc.cut
                     except ApiError as exc:
@@ -397,12 +406,6 @@ def _make_handler(
             self._reply(status, body, extra)
             return status
 
-        def _reply_aborted(self, exc: AbortedResponse) -> None:
-            """Replay an injected mid-body abort on the real socket:
-            full Content-Length, partial body, hard close."""
-            self._reply(200, exc.body[: exc.cut], length=len(exc.body))
-            self.close_connection = True
-
         def _reply(
             self,
             status: int,
@@ -413,21 +416,20 @@ def _make_handler(
         ) -> None:
             """One send per response: head then body as two writes
             would wait out the client's delayed ACK (Nagle, ~40 ms).
-            ``length`` overrides the promised ``Content-Length``."""
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header(
-                "Content-Length", str(len(body) if length is None else length)
-            )
-            for name, value in (extra or {}).items():
-                self.send_header(name, value)
-            # What end_headers() would flush, plus the body; an
-            # HTTP/0.9 request buffers no head and gets the bare body.
-            head = getattr(self, "_headers_buffer", None)
-            self._headers_buffer = []
-            self.wfile.write(
-                b"".join([*head, b"\r\n", body]) if head else body
-            )
+            ``length`` overrides the promised ``Content-Length``; an
+            HTTP/0.9 request gets the bare body."""
+            if self.request_version != "HTTP/0.9":
+                reason = self.responses.get(status, ("",))[0]
+                body = "\r\n".join((
+                    f"{self.protocol_version} {status} {reason}",
+                    f"Server: {self.version_string()}",
+                    f"Date: {self.date_time_string()}",
+                    f"Content-Type: {content_type}",
+                    f"Content-Length: {len(body) if length is None else length}",
+                    *(f"{name}: {value}" for name, value in (extra or {}).items()),
+                    "\r\n",
+                )).encode("latin-1") + body
+            self.wfile.write(body)
 
         def log_message(self, *args) -> None:
             """Route through the access logger, not raw stderr."""

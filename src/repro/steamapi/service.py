@@ -42,10 +42,6 @@ _UNIX_LAUNCH = int(
 )
 
 
-def _day_to_unix(day: int) -> int:
-    return _UNIX_LAUNCH + int(day) * 86400
-
-
 class SteamApiService:
     """Serve a dataset through Steam Web API semantics."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = ["DiscretePowerLawFit", "hurwitz_zeta"]
 
@@ -50,6 +50,7 @@ class DiscretePowerLawFit:
                 hurwitz_zeta(alpha, float(xmin))
             )
 
+        from scipy import optimize  # lazy: ~24 MB of RSS, fits only
         result = optimize.minimize_scalar(
             nll, bounds=(1.01, 6.0), method="bounded"
         )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "TailFit",
@@ -166,6 +166,7 @@ class LognormalFit(TailFit):
         start = np.array([float(np.mean(logs)), math.log(max(np.std(logs), 0.05))])
         # Also try a below-cutoff mode start (common for tail-truncated fits).
         starts = [start, np.array([log_xmin - 1.0, math.log(1.0)])]
+        from scipy import optimize  # lazy: ~24 MB of RSS, fits only
         best = None
         for s in starts:
             res = optimize.minimize(nll, s, method="Nelder-Mead")
@@ -230,6 +231,7 @@ class TruncatedPowerLawFit(TailFit):
             np.array([max(pl_alpha - 0.5, 0.6), math.log(max(1.0 / mean_x, 1e-8))]),
             np.array([1.1, math.log(max(0.01 / mean_x, 1e-9))]),
         ]
+        from scipy import optimize  # lazy: ~24 MB of RSS, fits only
         best = None
         for s in starts:
             res = optimize.minimize(

@@ -1,5 +1,9 @@
 """Full-crawl equivalence: the crawler must reconstruct the world."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -108,3 +112,27 @@ class TestAnalysesOnCrawledData:
             assert crawled.correlations.rhos[name] == pytest.approx(
                 rho, abs=1e-9
             )
+
+
+class TestImportGraph:
+    def test_crawl_leaves_scipy_optimize_unloaded(self):
+        """``scipy.optimize`` costs ~24 MB of resident memory; only the
+        tail fits use it, so a crawl must not pull it in."""
+        script = (
+            "import sys, repro;"
+            "from repro.crawler.runner import run_full_crawl;"
+            "from repro.steamapi.service import SteamApiService;"
+            "from repro.steamapi.transport import InProcessTransport;"
+            "world = repro.SteamWorld.generate("
+            "repro.WorldConfig(n_users=1000, seed=5));"
+            "run_full_crawl(InProcessTransport(SteamApiService(world.dataset)));"
+            "print('scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=os.environ.copy(),
+            check=True,
+        ).stdout
+        assert out.strip() == "False"

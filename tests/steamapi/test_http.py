@@ -1,6 +1,9 @@
 """JSON-over-HTTP transport against a live localhost server."""
 
 import http.client
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from repro.steamapi.errors import (
     UnauthorizedError,
 )
 from repro.steamapi.http_client import HttpTransport
-from repro.steamapi.http_server import serve, serve_dispatch
+from repro.steamapi.http_server import HttpLimits, serve, serve_dispatch
 from repro.steamapi.service import DEFAULT_API_KEY, SteamApiService
 
 
@@ -96,6 +99,105 @@ class TestHttpRoundTrip:
         transport = HttpTransport("http://127.0.0.1:9", timeout=0.5)
         with pytest.raises(ApiError):
             transport.request("/ISteamApps/GetAppList/v2", {"key": "x"})
+
+
+def _count_connections(running) -> list:
+    """Record every connection the server accepts from now on."""
+    accepted: list = []
+    handle = running.server.process_request_thread
+
+    def counted(request, client_address):
+        accepted.append(client_address)
+        return handle(request, client_address)
+
+    running.server.process_request_thread = counted
+    return accepted
+
+
+class TestPersistentConnections:
+    """One transport keeps its connections alive across requests."""
+
+    def test_full_crawl_runs_on_one_connection(self, small_world):
+        from repro.crawler.runner import run_full_crawl
+        from repro.steamapi.transport import InProcessTransport
+
+        reference = run_full_crawl(
+            InProcessTransport(SteamApiService.from_world(small_world))
+        )
+        with serve(SteamApiService.from_world(small_world)) as running:
+            accepted = _count_connections(running)
+            with HttpTransport(running.base_url) as transport:
+                result = run_full_crawl(transport)
+        assert result.requests_made == reference.requests_made
+        assert result.dataset.fingerprint() == reference.dataset.fingerprint()
+        assert len(accepted) == 1
+
+    def test_connection_closed_while_idle_is_resent_once(self):
+        dispatched: list[str] = []
+
+        def dispatch(path, params):
+            dispatched.append(path)
+            return {"path": path}
+
+        limits = HttpLimits(socket_timeout=0.2)
+        with serve_dispatch(dispatch, limits=limits) as running:
+            accepted = _count_connections(running)
+            with HttpTransport(running.base_url) as transport:
+                assert transport.request("/first", {}) == {"path": "/first"}
+                time.sleep(0.5)  # the server drops the idle connection
+                assert transport.request("/second", {}) == {"path": "/second"}
+        assert dispatched == ["/first", "/second"]
+        assert len(accepted) == 2
+
+    def test_shared_across_threads(self, server, small_world):
+        sids = [int(s) for s in small_world.dataset.accounts.steamids()[:64]]
+        shared = HttpTransport(server.base_url)
+        mismatches: list[int] = []
+
+        def fetch(chunk):
+            for sid in chunk:
+                payload = shared.request(
+                    "/ISteamUser/GetPlayerSummaries/v2",
+                    {"key": DEFAULT_API_KEY, "steamids": str(sid)},
+                )
+                if payload["response"]["players"][0]["steamid"] != str(sid):
+                    mismatches.append(sid)
+
+        threads = [
+            threading.Thread(target=fetch, args=(sids[i::8],))
+            for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the idle-list updates
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            shared.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_close_is_prompt_with_an_idle_client_connection(
+        self, small_world
+    ):
+        from repro.obs import Obs
+
+        obs = Obs()
+        running = serve(SteamApiService.from_world(small_world), obs=obs)
+        transport = HttpTransport(running.base_url)
+        transport.request("/ISteamApps/GetAppList/v2", {"key": DEFAULT_API_KEY})
+        # Stop the accept loop first: its exit waits out a poll interval
+        # of up to 0.5 s, which is not what this test measures.
+        running.server.shutdown()
+        start = time.monotonic()
+        stuck = running.close()
+        elapsed = time.monotonic() - start
+        assert stuck == []
+        assert elapsed < 0.5
+        assert obs.counter("http_drain_leftover_threads").value() == 0
 
 
 class TestHttpChaos:

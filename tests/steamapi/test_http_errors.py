@@ -65,6 +65,9 @@ class _RawSocketServer:
 
     def close(self) -> None:
         self._stop.set()
+        # close() alone does not wake the accept() blocked in _loop on
+        # Linux; shutdown does, so the join below returns at once.
+        self.sock.shutdown(socket.SHUT_RDWR)
         self.sock.close()
         self.thread.join(timeout=5)
 
@@ -83,6 +86,17 @@ def _short_body(conn) -> None:
         b"Content-Length: 1000\r\n"
         b"\r\n"
         b'{"partial":'
+    )
+
+
+def _ok_body(conn) -> None:
+    """A complete keep-alive JSON reply."""
+    conn.sendall(
+        b"HTTP/1.1 200 OK\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Content-Length: 12\r\n"
+        b"\r\n"
+        b'{"ok": true}'
     )
 
 
@@ -112,6 +126,25 @@ class TestMidResponseFailures:
             transport = HttpTransport(raw.base_url, timeout=0.3)
             with pytest.raises(MalformedResponseError, match="mid-response"):
                 transport.request("/anything", {})
+
+    def test_next_request_after_failure_opens_a_fresh_connection(
+        self, monkeypatch
+    ):
+        replies = [_short_body, _ok_body]
+        sends: list[bool] = []  # the ``reused`` flag of every send
+        send = HttpTransport._send
+
+        def recording_send(self, conn, target, headers, reused):
+            sends.append(reused)
+            return send(self, conn, target, headers, reused)
+
+        monkeypatch.setattr(HttpTransport, "_send", recording_send)
+        with _RawSocketServer(lambda conn: replies.pop(0)(conn)) as raw:
+            transport = HttpTransport(raw.base_url, timeout=5.0)
+            with pytest.raises(MalformedResponseError, match="mid-response"):
+                transport.request("/anything", {})
+            assert transport.request("/anything", {}) == {"ok": True}
+        assert sends == [False, False]
 
     def test_mid_response_error_is_retryable_by_policy(self):
         # The crawler's retry policy must classify the new error as
