@@ -8,7 +8,6 @@ byte-identical to the clean crawl at every rate — resilience that
 corrupts data is worse than none.
 """
 
-import hashlib
 import time
 
 import pytest
@@ -18,6 +17,7 @@ from repro.crawler.retry import RetryPolicy
 from repro.obs import bench_metric
 from repro.crawler.runner import run_full_crawl
 from repro.faults import FaultPlan
+from repro.pipeline.manifest import file_checksum
 from repro.steamapi.faults import FaultInjectingTransport, FaultSpec
 from repro.steamapi.service import SteamApiService
 from repro.steamapi.transport import InProcessTransport
@@ -66,8 +66,8 @@ def test_throughput_vs_fault_rate(
             runs[rate] = crawl(rate)
 
     def digest(result):
-        path = save_dataset(result.dataset, tmp_path / "bench.npz")
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        path = save_dataset(result.dataset, tmp_path / "bench")
+        return file_checksum(path)
 
     clean_result, clean_elapsed = runs[0.0]
     clean_sha = digest(clean_result)

@@ -6,7 +6,8 @@ Produces, under ``--outdir`` (default ``artifacts/``):
 - ``figures_ascii.txt``— ASCII renderings of the figures,
 - ``figures/``         — per-figure CSV data series,
 - ``export/``          — plain-text dataset dumps (JSONL/CSV),
-- ``dataset.npz``      — the dataset itself.
+- ``dataset/``         — the dataset itself, as a column directory
+                          (load it with ``repro.store.load_dataset``).
 
 Run:  python scripts/run_all.py [--users N] [--seed S] [--outdir DIR]
 """

@@ -45,7 +45,7 @@ from repro.core.study import SteamStudy
 from repro.obs import Obs, TraceContext
 from repro.simworld.config import WorldConfig
 from repro.simworld.world import SteamWorld
-from repro.store.io import load_any, save_dataset, save_dataset_dir
+from repro.store.io import load_dataset, save_dataset
 
 __all__ = ["main"]
 
@@ -55,6 +55,41 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
         "--users", type=int, default=100_000, help="accounts to simulate"
     )
     parser.add_argument("--seed", type=int, default=1603, help="world seed")
+
+
+def _add_dataset_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--dataset",
+        metavar="DIR",
+        help=(
+            "use a saved dataset directory (checksum-verified on load) "
+            "instead of generating a world"
+        ),
+    )
+
+
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="run independent stages across N processes",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        metavar="PATH",
+        help=(
+            "memoize stage results in a content-addressed cache at PATH "
+            "(default: $REPRO_CACHE_DIR if set, else no caching); a warm "
+            "cache makes a rerun on unchanged data execute zero stages"
+        ),
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the stage cache even when REPRO_CACHE_DIR is set",
+    )
 
 
 def _add_metrics_arg(parser: argparse.ArgumentParser) -> None:
@@ -106,13 +141,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     world = SteamWorld.generate(
         WorldConfig(n_users=args.users, seed=args.seed), obs=obs
     )
-    if args.columnar:
-        out = Path(args.output)
-        if out.suffix == ".npz":  # the default filename is .npz-flavored
-            out = out.with_suffix(".cols")
-        path = save_dataset_dir(world.dataset, out)
-    else:
-        path = save_dataset(world.dataset, args.output)
+    path = save_dataset(world.dataset, args.output)
     summary = world.dataset.summary()
     print(f"generated {args.users:,} accounts in {time.time() - t0:.1f}s")
     print(
@@ -130,7 +159,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
     obs = _make_obs(args)
     if args.dataset:
-        source = load_any(args.dataset)
+        source = load_dataset(args.dataset)
     else:
         source = SteamWorld.generate(
             WorldConfig(n_users=args.users, seed=args.seed), obs=obs
@@ -159,7 +188,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         )
         last = step
     if last is not None:
-        path = save_dataset(last.dataset, out_dir / "evolved.npz")
+        path = save_dataset(last.dataset, out_dir / "evolved")
         print(
             f"evolved {args.steps} step(s) to {last.dataset.n_users:,} "
             f"accounts in {time.time() - t0:.1f}s"
@@ -186,7 +215,7 @@ def _resolve_cache(args: argparse.Namespace):
 def _cmd_analyze(args: argparse.Namespace) -> int:
     obs = _make_obs(args)
     if args.dataset:
-        study = SteamStudy.from_dataset(load_any(args.dataset))
+        study = SteamStudy.from_dataset(load_dataset(args.dataset))
     else:
         study = SteamStudy.generate(
             n_users=args.users, seed=args.seed, obs=obs
@@ -279,7 +308,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.core.figures_io import export_figure_data
 
     if args.dataset:
-        study = SteamStudy.from_dataset(load_any(args.dataset))
+        study = SteamStudy.from_dataset(load_dataset(args.dataset))
     else:
         study = SteamStudy.generate(n_users=args.users, seed=args.seed)
     report = study.run(include_table4=False)
@@ -294,7 +323,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from repro.store.export import export_dataset
 
     if args.dataset:
-        dataset = load_any(args.dataset)
+        dataset = load_dataset(args.dataset)
     else:
         world = SteamWorld.generate(
             WorldConfig(n_users=args.users, seed=args.seed)
@@ -359,7 +388,7 @@ def _cmd_serve_analytics(args: argparse.Namespace) -> int:
             or TraceContext.new(seed=getattr(args, "seed", None))
         )
     if args.dataset:
-        dataset = load_any(args.dataset)
+        dataset = load_dataset(args.dataset)
         print(f"loaded dataset from {args.dataset} ({dataset.n_users:,} users)")
     else:
         world = SteamWorld.generate(
@@ -691,16 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="generate a synthetic world")
     _add_world_args(p_gen)
-    p_gen.add_argument("--output", default="steam_world.npz")
-    p_gen.add_argument(
-        "--columnar",
-        action="store_true",
-        help=(
-            "write a directory of mmap-able per-column .npy files "
-            "instead of a compressed .npz; every other command accepts "
-            "either via --dataset"
-        ),
-    )
+    p_gen.add_argument("--output", default="steam_world")
     _add_metrics_arg(p_gen)
     p_gen.set_defaults(func=_cmd_generate)
 
@@ -709,10 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="advance a world by delta steps, emitting change manifests",
     )
     _add_world_args(p_ev)
-    p_ev.add_argument(
-        "--dataset",
-        help="evolve a saved dataset instead of generating a world",
-    )
+    _add_dataset_arg(p_ev)
     p_ev.add_argument(
         "--out-dir",
         default="evolved",
@@ -762,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="run all tables and figures")
     _add_world_args(p_an)
-    p_an.add_argument("--dataset", help="analyze a saved dataset instead")
+    _add_dataset_arg(p_an)
     p_an.add_argument("--output", help="write the report to a file")
     p_an.add_argument(
         "--skip-table4",
@@ -774,26 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append ASCII renderings of the figures",
     )
-    p_an.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run independent analysis stages across N processes",
-    )
-    p_an.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        help=(
-            "memoize stage results in a content-addressed cache at PATH "
-            "(default: $REPRO_CACHE_DIR if set, else no caching)"
-        ),
-    )
-    p_an.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the stage cache even when REPRO_CACHE_DIR is set",
-    )
+    _add_engine_args(p_an)
     p_an.add_argument(
         "--profile",
         metavar="PATH",
@@ -807,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cr = sub.add_parser("crawl", help="re-collect via the simulated API")
     _add_world_args(p_cr)
-    p_cr.add_argument("--output", default="steam_crawl.npz")
+    p_cr.add_argument("--output", default="steam_crawl")
     p_cr.add_argument(
         "--http",
         action="store_true",
@@ -820,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
         "export", help="write plain-text dumps (JSONL/CSV) of a dataset"
     )
     _add_world_args(p_ex)
-    p_ex.add_argument("--dataset", help="export a saved dataset instead")
+    _add_dataset_arg(p_ex)
     p_ex.add_argument("--outdir", default="steam_export")
     p_ex.set_defaults(func=_cmd_export)
 
@@ -828,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figures", help="export every figure's data series as CSV"
     )
     _add_world_args(p_fig)
-    p_fig.add_argument("--dataset", help="use a saved dataset instead")
+    _add_dataset_arg(p_fig)
     p_fig.add_argument("--outdir", default="steam_figures")
     p_fig.set_defaults(func=_cmd_figures)
 
@@ -847,32 +845,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve precomputed analytics over HTTP (read path)",
     )
     _add_world_args(p_sa)
-    p_sa.add_argument(
-        "--dataset", help="serve a saved dataset instead of generating one"
-    )
+    _add_dataset_arg(p_sa)
     p_sa.add_argument("--port", type=int, default=8791)
-    p_sa.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="build the store's stages across N processes",
-    )
-    p_sa.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        help=(
-            "memoize store-build stages in a content-addressed cache at "
-            "PATH (default: $REPRO_CACHE_DIR if set, else no caching); "
-            "a warm cache makes restart-on-unchanged-data execute zero "
-            "stages"
-        ),
-    )
-    p_sa.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the stage cache even when REPRO_CACHE_DIR is set",
-    )
+    _add_engine_args(p_sa)
     p_sa.add_argument(
         "--max-tail",
         type=int,

@@ -29,7 +29,7 @@ events flow through :mod:`repro.obs` (``engine_stage_retries``,
 Worker processes get the (large) dataset for free on platforms with
 ``fork`` — the parent plants the context in a module global before the
 pool spawns and children inherit it copy-on-write.  Elsewhere the
-dataset is spilled once to a temp columnar directory (per-column
+dataset is spilled once to a temp dataset directory (per-column
 ``.npy`` files) that each worker memory-maps in its initializer — the
 read-only pages are shared between workers through the OS page cache —
 and per-task pickling is limited to the stage function reference, its
@@ -95,14 +95,14 @@ class StageFailedError(RuntimeError):
 
 def _init_worker_spawn(dataset_path: str, config: dict, aux_blob: bytes):
     global _WORKER_CTX
-    from repro.store.io import load_dataset_dir
+    from repro.store.io import load_dataset
 
-    # mmap: every spawned worker maps the same spill directory, so the
+    # Every spawned worker maps the same spill directory, so the
     # dataset's pages are shared through the OS page cache instead of
     # each worker holding (and parsing) a private copy.  verify=False:
     # the parent wrote this spill moments ago.
     _WORKER_CTX = StageContext(
-        dataset=load_dataset_dir(dataset_path, mmap=True, verify=False),
+        dataset=load_dataset(dataset_path, verify=False),
         config=config,
         aux=pickle.loads(aux_blob),
     )
@@ -395,15 +395,13 @@ class Engine:
                 dataset=ctx.dataset, config=ctx.config, aux=ctx.aux
             )
         else:
-            from repro.store.io import save_dataset_dir
+            from repro.store.io import save_dataset
 
             mp_ctx = multiprocessing.get_context("spawn")
             tmpdir = tempfile.TemporaryDirectory(prefix="repro-engine-")
-            # Columnar spill: uncompressed per-column .npy files that
-            # the workers mmap, sharing read-only pages between them.
-            path = save_dataset_dir(
-                ctx.dataset, Path(tmpdir.name) / "dataset.cols"
-            )
+            # The workers mmap the spilled columns, sharing read-only
+            # pages between them.
+            path = save_dataset(ctx.dataset, Path(tmpdir.name) / "dataset")
             init = _init_worker_spawn
             initargs = (str(path), ctx.config, pickle.dumps(ctx.aux))
 

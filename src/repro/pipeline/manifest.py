@@ -33,8 +33,24 @@ STEP_STATUSES = ("pending", "running", "done", "cached", "failed", "skipped")
 
 
 def file_checksum(path: str | Path, chunk: int = 1 << 20) -> str:
-    """Streaming SHA-256 of a file's bytes."""
+    """Streaming SHA-256 of a file's bytes, or of a directory's files.
+
+    A directory (a saved dataset) hashes the relative name and SHA-256
+    of every file under it, in sorted name order, so a flipped byte in
+    any column, or a renamed or missing file, changes the sum.
+    """
+    path = Path(path)
     h = hashlib.sha256()
+    if path.is_dir():
+        names = sorted(
+            p.relative_to(path).as_posix()
+            for p in path.rglob("*")
+            if p.is_file()
+        )
+        for name in names:
+            digest = file_checksum(path / name, chunk)
+            h.update(f"{name}\0{digest}\n".encode("utf-8"))
+        return h.hexdigest()
     with open(path, "rb") as handle:
         while True:
             block = handle.read(chunk)
@@ -53,7 +69,7 @@ class StepRecord:
     #: Artifact path, relative to the pipeline workdir (None: none yet,
     #: or the step is ephemeral, like ``serve``).
     artifact: str | None = None
-    #: SHA-256 of the artifact file at completion time.
+    #: :func:`file_checksum` of the artifact at completion time.
     checksum: str | None = None
     #: Seed the step ran with (recorded for provenance).
     seed: int | None = None

@@ -41,6 +41,12 @@ __all__ = ["PipelineSupervisor", "PipelineConfigError", "PIPELINE_STEPS"]
 
 PIPELINE_STEPS = ("generate", "serve", "crawl", "analyze")
 
+#: Each step's artifact, relative to the workdir.  A manifest record
+#: naming another artifact (one written by an older layout) never
+#: counts as done, so its step reruns instead of feeding a stale path
+#: downstream.
+_ARTIFACTS = {"generate": "world", "crawl": "crawled", "analyze": "report.txt"}
+
 
 class PipelineConfigError(RuntimeError):
     """The workdir belongs to a different pipeline configuration."""
@@ -82,10 +88,13 @@ class PipelineSupervisor:
         record = manifest.steps.get(step)
         if record is None or record.status not in ("done", "cached"):
             return False
-        if not record.artifact or not record.checksum:
+        if record.artifact != _ARTIFACTS[step] or not record.checksum:
             return False
-        path = self.workdir / record.artifact
+        path = self._artifact(step)
         return path.exists() and file_checksum(path) == record.checksum
+
+    def _artifact(self, step: str) -> Path:
+        return self.workdir / _ARTIFACTS[step]
 
     def _mark_cached(self, manifest: RunManifest, step: str) -> None:
         record = manifest.step(step)
@@ -108,20 +117,16 @@ class PipelineSupervisor:
         return StepTimer(record)
 
     def _finish(
-        self,
-        manifest: RunManifest,
-        timer: "StepTimer",
-        artifact: str | None = None,
-        note: str = "",
+        self, manifest: RunManifest, timer: "StepTimer", note: str = ""
     ) -> None:
         record = timer.record
         record.status = "done"
         record.duration_seconds = round(timer.elapsed(), 3)
         if note:
             record.note = note
-        if artifact is not None:
-            record.artifact = artifact
-            record.checksum = file_checksum(self.workdir / artifact)
+        if record.name in _ARTIFACTS:
+            record.artifact = _ARTIFACTS[record.name]
+            record.checksum = file_checksum(self._artifact(record.name))
         manifest.save()
 
     def _fail(self, manifest: RunManifest, step: str, exc: Exception) -> None:
@@ -167,7 +172,7 @@ class PipelineSupervisor:
         return manifest
 
     def _step_generate(self, manifest: RunManifest) -> SteamWorld | None:
-        """Produce ``world.npz``; returns the in-memory world when fresh.
+        """Produce ``world/``; returns the in-memory world when fresh.
 
         On resume the artifact is reused and ``None`` is returned — the
         crawl step regenerates the world in memory (deterministic, same
@@ -183,11 +188,11 @@ class PipelineSupervisor:
                     WorldConfig(n_users=self.users, seed=self.seed),
                     obs=self.obs,
                 )
-                save_dataset(world.dataset, self.workdir / "world.npz")
+                save_dataset(world.dataset, self._artifact("generate"))
         except Exception as exc:
             self._fail(manifest, "generate", exc)
             raise
-        self._finish(manifest, timer, artifact="world.npz")
+        self._finish(manifest, timer)
         return world
 
     def _regenerate_world(self, manifest: RunManifest) -> SteamWorld:
@@ -202,7 +207,7 @@ class PipelineSupervisor:
     def _step_crawl(
         self, manifest: RunManifest, world: SteamWorld | None
     ) -> None:
-        """Re-collect the world through the API into ``crawled.npz``.
+        """Re-collect the world through the API into ``crawled/``.
 
         The serve step lives inside this one: the API server only
         exists while a crawl needs it.  A kill mid-crawl is recovered
@@ -256,7 +261,7 @@ class PipelineSupervisor:
                         snapshot2=world.dataset.snapshot2,
                         obs=self.obs,
                     )
-                save_dataset(result.dataset, self.workdir / "crawled.npz")
+                save_dataset(result.dataset, self._artifact("crawl"))
         except Exception as exc:
             self._fail(manifest, "crawl", exc)
             self._fail(manifest, "serve", exc)
@@ -271,7 +276,6 @@ class PipelineSupervisor:
         self._finish(
             manifest,
             timer,
-            artifact="crawled.npz",
             note=(
                 "resumed from crawl checkpoint"
                 if resumed_mid_crawl
@@ -280,7 +284,7 @@ class PipelineSupervisor:
         )
 
     def _step_analyze(self, manifest: RunManifest) -> None:
-        """Analyze ``crawled.npz`` into ``report.txt``.
+        """Analyze ``crawled/`` into ``report.txt``.
 
         The engine's content-addressed stage cache lives in the workdir,
         so a kill mid-analyze replays finished stages on resume instead
@@ -295,7 +299,7 @@ class PipelineSupervisor:
         timer = self._start(manifest, "analyze")
         try:
             with maybe_span(self.obs, "pipeline:analyze"):
-                dataset = load_dataset(self.workdir / "crawled.npz")
+                dataset = load_dataset(self._artifact("crawl"))
                 study = SteamStudy.from_dataset(dataset)
                 report = study.run(
                     include_table4=self.include_table4,
@@ -310,13 +314,13 @@ class PipelineSupervisor:
         except Exception as exc:
             self._fail(manifest, "analyze", exc)
             raise
-        self._finish(manifest, timer, artifact="report.txt")
+        self._finish(manifest, timer)
 
     def _write_report(self, text: str) -> None:
         """Atomic report write, same discipline as every other artifact."""
         import os
 
-        path = self.workdir / "report.txt"
+        path = self._artifact("analyze")
         tmp = path.parent / (path.name + ".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)

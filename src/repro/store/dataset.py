@@ -132,9 +132,10 @@ class SteamDataset:
         """Every array column under its persistent dotted key.
 
         This is the single authoritative walk of the dataset's array
-        content: :func:`repro.store.io.save_dataset` persists exactly
-        these keys, and :meth:`fingerprint` hashes exactly them, so the
-        on-disk format and the cache identity can never drift apart.
+        content: :func:`repro.store.io.save_dataset` writes exactly
+        these keys, one ``<key>.npy`` file each, and :meth:`fingerprint`
+        hashes exactly them, so the on-disk format and the cache
+        identity can never drift apart.
         """
         acc = self.accounts
         yield "acc.id_offset", acc.id_offset
@@ -231,12 +232,12 @@ class SteamDataset:
         """Stable SHA-256 over every column and the metadata.
 
         Two datasets with identical content — whether generated,
-        reloaded from ``.npz``, or reassembled by the crawler — share a
-        fingerprint; any change to any cell changes it.  Derived from
-        :meth:`column_fingerprints` so one pass over the arrays serves
-        both identities.  Memoized on first call, so callers (the
-        analysis engine keys its stage cache on this) must not mutate
-        the tables afterwards without calling
+        reloaded from a saved dataset directory, or reassembled by the
+        crawler — share a fingerprint; any change to any cell changes
+        it.  Derived from :meth:`column_fingerprints` so one pass over
+        the arrays serves both identities.  Memoized on first call, so
+        callers (the analysis engine keys its stage cache on this) must
+        not mutate the tables afterwards without calling
         :meth:`invalidate_fingerprint`.
         """
         if self._fingerprint is None:

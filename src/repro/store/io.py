@@ -1,28 +1,29 @@
-"""Dataset persistence: compressed ``.npz`` or mmap-able column directory.
+"""Dataset persistence: a checksummed directory of mmap-able columns.
 
-Arrays are stored flat under dotted keys; tuples of strings and scalar
-metadata ride along in a JSON sidecar entry.  Both formats round-trip
-everything in :class:`repro.store.dataset.SteamDataset`.
-
-Crash safety (DESIGN.md §9): :func:`save_dataset` writes to a unique
-same-directory temp file, fsyncs, and ``os.replace``\\ s into place, so
-readers never observe a half-written dataset — the same discipline as
-the crawl checkpoint and the stage cache.  Format v2 embeds a per-array
-SHA-256 checksum manifest in the JSON sidecar; :func:`load_dataset`
-verifies every array against it and raises a typed
-:class:`DatasetIntegrityError` naming the offending entry instead of
-leaking ``KeyError`` or ``zipfile`` internals on truncated or corrupt
-files.  v1 files (no manifest) still load, unverified.
-
-The columnar directory format (DESIGN.md §13) stores one uncompressed
-``.npy`` per column plus a ``manifest.json``.  Columns load with
+A saved dataset is a directory holding one uncompressed ``.npy`` file
+per key of :meth:`SteamDataset.iter_columns` (``fr.u.npy``,
+``lib.total_min.npy``, ...) next to a ``manifest.json`` that carries
+the format version, a SHA-256 checksum per column and the dataset's
+metadata (:meth:`SteamDataset.meta_dict`).  Columns load with
 ``np.load(..., mmap_mode="r")``, so a 10^6-user world opens in
-milliseconds and parallel workers (fork *or* spawn) share the read-only
-pages through the OS page cache instead of each holding a private copy.
-Directory writes stage into a temp sibling directory and rename into
-place; unlike the single-file rename this is atomic only when no
-previous directory exists at the target (an existing one is removed
-first), which is acceptable for spill files and explicit exports.
+milliseconds and parallel workers (fork *or* spawn) share the
+read-only pages through the OS page cache instead of each holding a
+private copy.
+
+Integrity (DESIGN.md §9): :func:`load_dataset` verifies every column
+against the manifest by default and raises a typed
+:class:`DatasetIntegrityError` naming the offending column (missing
+file, unreadable ``.npy``, checksum mismatch) instead of leaking
+``numpy`` or filesystem internals.  Only a spill the process wrote
+itself moments ago is worth loading with ``verify=False``.
+
+Crash safety: :func:`save_dataset` writes and fsyncs every file in a
+temp sibling directory and renames it into place.  An existing dataset
+at the target is first renamed aside to another temp sibling and is
+removed only once the new directory is in place, so a crash never
+leaves a half-written or half-deleted dataset under the target name:
+between the two renames the target is absent, but the old copy is
+intact beside it.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ import hashlib
 import json
 import os
 import shutil
-import tempfile
-import zipfile
+import uuid
 from pathlib import Path
 
 import numpy as np
 
-from repro.fsutil import atomic_writer
 from repro.store.dataset import DatasetMeta, SteamDataset
 from repro.store.tables import (
     AccountTable,
@@ -50,31 +49,18 @@ from repro.store.tables import (
     Snapshot2Table,
 )
 
-__all__ = [
-    "save_dataset",
-    "load_dataset",
-    "save_dataset_dir",
-    "load_dataset_dir",
-    "load_any",
-    "DatasetIntegrityError",
-]
+__all__ = ["save_dataset", "load_dataset", "DatasetIntegrityError"]
 
-#: v1: no checksum manifest.  v2: adds ``checksums`` to the sidecar.
-_FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
-
-#: Columnar directory format (independent of the .npz versioning).
-_DIR_FORMAT_VERSION = 1
-_DIR_SUPPORTED_VERSIONS = (1,)
+_FORMAT_VERSION = 1
 _MANIFEST_NAME = "manifest.json"
 
 
 class DatasetIntegrityError(ValueError):
-    """A dataset file is unreadable, incomplete, or corrupt.
+    """A dataset is unreadable, incomplete, or corrupt.
 
-    ``key`` names the offending array entry when one can be pinned
-    down (missing entry, checksum mismatch, member-level corruption);
-    it is ``None`` for whole-file damage such as a truncated archive.
+    ``key`` names the offending column (or ``manifest.json``) when one
+    can be pinned down; it is ``None`` for damage to the dataset as a
+    whole, such as a plain file where a directory should be.
     """
 
     def __init__(self, message: str, key: str | None = None) -> None:
@@ -92,91 +78,71 @@ def _array_checksum(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def save_dataset(dataset: SteamDataset, path: str | Path) -> Path:
-    """Atomically write ``dataset`` to ``path`` (``.npz`` appended).
+def _fsync(handle) -> None:
+    handle.flush()
+    os.fsync(handle.fileno())
 
-    The write lands in a same-directory temp file first and is fsynced
-    before an atomic rename, so a crash mid-save leaves any previous
-    dataset at ``path`` untouched and never exposes a torn file.
+
+def save_dataset(dataset: SteamDataset, path: str | Path) -> Path:
+    """Atomically write ``dataset`` as a column directory at ``path``.
+
+    A crash at any instant leaves either the previous dataset or the
+    new one at ``path`` (or, in the moment between the two renames,
+    nothing at ``path`` and the previous one intact in a ``.tmp.``
+    sibling); never a torn directory.
     """
     path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
     # The dataset owns the authoritative column walk (shared with its
     # content fingerprint); persistence just serializes it.
     arrays: dict[str, np.ndarray] = dict(dataset.iter_columns())
-    meta = {
+    manifest = {
         "format_version": _FORMAT_VERSION,
         "checksums": {key: _array_checksum(a) for key, a in arrays.items()},
         **dataset.meta_dict(),
     }
-    arrays["meta.json"] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )
-    with atomic_writer(path, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
-    return path
-
-
-def _column_filename(key: str) -> str:
-    """Map a dotted column key to its on-disk ``.npy`` file name."""
-    return key.replace("/", "_") + ".npy"
-
-
-def save_dataset_dir(dataset: SteamDataset, path: str | Path) -> Path:
-    """Write ``dataset`` as a directory of mmap-able ``.npy`` columns.
-
-    Columns land as plain uncompressed ``.npy`` files (one per dotted
-    key) next to a ``manifest.json`` carrying the metadata and the
-    per-column checksums.  The write stages into a temp sibling
-    directory and renames into place; any existing directory at
-    ``path`` is removed first, so concurrent readers of an *old*
-    directory at the same path are not protected the way ``.npz``
-    readers are (documented in the module docstring).
-    """
-    path = Path(path)
-    arrays: dict[str, np.ndarray] = dict(dataset.iter_columns())
-    manifest = {
-        "format_version": _DIR_FORMAT_VERSION,
-        "checksums": {key: _array_checksum(a) for key, a in arrays.items()},
-        **dataset.meta_dict(),
-    }
     path.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(
-        tempfile.mkdtemp(prefix=path.name + ".tmp.", dir=path.parent)
-    )
+    # mkdir, not mkdtemp: the published directory gets the umask's
+    # permissions, as a plain file would, instead of mkdtemp's 0700.
+    staging = path.with_name(f"{path.name}.tmp.{uuid.uuid4().hex}")
+    staging.mkdir()
+    retired = staging.with_name(staging.name + ".old")
     try:
         for key, arr in arrays.items():
-            np.save(staging / _column_filename(key), arr)
+            with open(staging / f"{key}.npy", "wb") as fh:
+                np.save(fh, arr)
+                _fsync(fh)
         with open(staging / _MANIFEST_NAME, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        if path.exists():
-            shutil.rmtree(path)
+            _fsync(fh)
+        if os.path.lexists(path):
+            os.replace(path, retired)
         os.replace(staging, path)
     except BaseException:
+        if os.path.lexists(retired) and not os.path.lexists(path):
+            os.replace(retired, path)
         shutil.rmtree(staging, ignore_errors=True)
         raise
+    if retired.is_dir() and not retired.is_symlink():
+        shutil.rmtree(retired)
+    elif os.path.lexists(retired):
+        retired.unlink()
     return path
 
 
-class _DirReader:
-    """Pull ``.npy`` columns out of a dataset directory, optionally mmap'd."""
+class _ColumnReader:
+    """Pull mmap'd ``.npy`` columns out of a dataset directory."""
 
-    def __init__(self, path: Path, mmap: bool) -> None:
+    def __init__(self, path: Path, checksums: dict, verify: bool) -> None:
         self.path = path
-        self.mmap_mode = "r" if mmap else None
-        self.checksums: dict[str, str] = {}
-        self.verify = False
+        self.checksums = checksums
+        self.verify = verify
 
     def __contains__(self, key: str) -> bool:
-        return (self.path / _column_filename(key)).exists()
+        return (self.path / f"{key}.npy").exists()
 
     def __getitem__(self, key: str) -> np.ndarray:
-        file = self.path / _column_filename(key)
         try:
-            arr = np.load(file, mmap_mode=self.mmap_mode)
+            arr = np.load(self.path / f"{key}.npy", mmap_mode="r")
         except FileNotFoundError:
             raise DatasetIntegrityError(
                 f"dataset {self.path} is missing required column {key!r}",
@@ -195,108 +161,9 @@ class _DirReader:
                     f"in the manifest",
                     key=key,
                 )
-            if _array_checksum(np.asarray(arr)) != expected:
-                raise DatasetIntegrityError(
-                    f"dataset {self.path} column {key!r} failed its "
-                    f"checksum (corrupt or tampered)",
-                    key=key,
-                )
-        return arr
-
-
-def load_dataset_dir(
-    path: str | Path, mmap: bool = True, verify: bool = False
-) -> SteamDataset:
-    """Read a dataset directory written by :func:`save_dataset_dir`.
-
-    With ``mmap=True`` (the default) columns are memory-mapped
-    read-only: opening is near-instant regardless of world size, and
-    every process mapping the same directory shares the physical pages
-    through the OS page cache.  ``verify`` defaults to *off* because
-    checksumming forces a full read, defeating the point of the mmap;
-    turn it on for untrusted files.
-    """
-    path = Path(path)
-    manifest_path = path / _MANIFEST_NAME
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise
-    except (ValueError, UnicodeDecodeError, OSError) as exc:
-        raise DatasetIntegrityError(
-            f"dataset {path} manifest.json is corrupt: {exc}",
-            key=_MANIFEST_NAME,
-        ) from None
-    version = manifest.get("format_version")
-    if version not in _DIR_SUPPORTED_VERSIONS:
-        supported = ", ".join(str(v) for v in _DIR_SUPPORTED_VERSIONS)
-        raise DatasetIntegrityError(
-            f"dataset {path} has directory format_version {version!r}; "
-            f"this build supports versions {supported}"
-        )
-    reader = _DirReader(path, mmap=mmap)
-    reader.checksums = manifest.get("checksums", {})
-    reader.verify = verify
-    return _assemble_dataset(reader, manifest, path)
-
-
-def load_any(path: str | Path, verify: bool | None = None) -> SteamDataset:
-    """Load a dataset from either format, picked by what's on disk.
-
-    A directory loads through :func:`load_dataset_dir` (mmap'd,
-    unverified by default); anything else loads through
-    :func:`load_dataset` (verified by default).  Pass ``verify``
-    explicitly to override either default.
-    """
-    path = Path(path)
-    if path.is_dir():
-        return load_dataset_dir(
-            path, verify=False if verify is None else verify
-        )
-    return load_dataset(path, verify=True if verify is None else verify)
-
-
-class _VerifyingReader:
-    """Pull arrays out of an open ``.npz``, typed errors throughout."""
-
-    def __init__(self, data, path: Path) -> None:
-        self.data = data
-        self.path = path
-        self.checksums: dict[str, str] = {}
-        self.verify = False
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.data
-
-    def raw(self, key: str) -> np.ndarray:
-        """One entry, with zip-level corruption mapped to a typed error."""
-        try:
-            return self.data[key]
-        except KeyError:
-            raise DatasetIntegrityError(
-                f"dataset {self.path} is missing required entry {key!r}",
-                key=key,
-            ) from None
-        except (zipfile.BadZipFile, OSError, ValueError, EOFError) as exc:
-            raise DatasetIntegrityError(
-                f"dataset {self.path} entry {key!r} is corrupt: {exc}",
-                key=key,
-            ) from None
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        arr = self.raw(key)
-        if self.verify:
-            expected = self.checksums.get(key)
-            if expected is None:
-                raise DatasetIntegrityError(
-                    f"dataset {self.path} entry {key!r} has no checksum "
-                    f"in the manifest",
-                    key=key,
-                )
             if _array_checksum(arr) != expected:
                 raise DatasetIntegrityError(
-                    f"dataset {self.path} entry {key!r} failed its "
+                    f"dataset {self.path} column {key!r} failed its "
                     f"checksum (corrupt or tampered)",
                     key=key,
                 )
@@ -308,50 +175,58 @@ def _meta_field(meta: dict, key: str, path: Path):
         return meta[key]
     except KeyError:
         raise DatasetIntegrityError(
-            f"dataset {path} sidecar is missing required field {key!r}",
+            f"dataset {path} manifest is missing required field {key!r}",
             key=key,
         ) from None
 
 
 def load_dataset(path: str | Path, verify: bool = True) -> SteamDataset:
-    """Read a dataset previously written by :func:`save_dataset`.
+    """Read a dataset directory written by :func:`save_dataset`.
 
-    ``verify=True`` (the default) checks every array against the v2
-    checksum manifest and raises :class:`DatasetIntegrityError` naming
-    the first corrupt entry; pass ``verify=False`` on hot paths that
-    already trust the bytes (e.g. a spill file written moments ago).
-    v1 files carry no manifest and load unverified either way.
+    Columns are memory-mapped read-only, so every process mapping the
+    same directory shares the physical pages through the OS page
+    cache.  ``verify=True`` (the default) checks every column against
+    the manifest's checksums, which reads each one in full; only pass
+    ``verify=False`` for a directory this process wrote itself (the
+    engine's worker spill).  A plain file at ``path`` (such as a
+    ``.npz`` from an older build) raises
+    :class:`DatasetIntegrityError`; a missing ``path`` raises
+    ``FileNotFoundError``.
     """
     path = Path(path)
     try:
-        npz = np.load(path)
+        with open(path / _MANIFEST_NAME, encoding="utf-8") as fh:
+            manifest = json.load(fh)
     except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, OSError, ValueError, EOFError) as exc:
+        if not path.is_dir():
+            raise
         raise DatasetIntegrityError(
-            f"dataset {path} is not a readable .npz archive "
-            f"(truncated or corrupt): {exc}"
+            f"dataset {path} has no {_MANIFEST_NAME} (incomplete write?)",
+            key=_MANIFEST_NAME,
         ) from None
-    with npz as data:
-        reader = _VerifyingReader(data, path)
-        try:
-            meta = json.loads(bytes(reader.raw("meta.json")).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise DatasetIntegrityError(
-                f"dataset {path} sidecar meta.json is corrupt: {exc}",
-                key="meta.json",
-            ) from None
-        version = meta.get("format_version")
-        if version not in _SUPPORTED_VERSIONS:
-            supported = ", ".join(str(v) for v in _SUPPORTED_VERSIONS)
-            raise DatasetIntegrityError(
-                f"dataset {path} has format_version {version!r}; this "
-                f"build supports versions {supported} — a newer build "
-                f"probably wrote it"
-            )
-        reader.checksums = meta.get("checksums", {})
-        reader.verify = verify and version >= 2
-        return _assemble_dataset(reader, meta, path)
+    except NotADirectoryError:
+        raise DatasetIntegrityError(
+            f"dataset {path} is a file, not a dataset directory "
+            f"(.npz files are no longer read; regenerate the dataset)"
+        ) from None
+    except (ValueError, UnicodeDecodeError, OSError) as exc:
+        raise DatasetIntegrityError(
+            f"dataset {path} {_MANIFEST_NAME} is corrupt: {exc}",
+            key=_MANIFEST_NAME,
+        ) from None
+    if not isinstance(manifest, dict):
+        raise DatasetIntegrityError(
+            f"dataset {path} {_MANIFEST_NAME} is not a JSON object",
+            key=_MANIFEST_NAME,
+        )
+    version = manifest.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise DatasetIntegrityError(
+            f"dataset {path} has format_version {version!r}; this "
+            f"build supports version {_FORMAT_VERSION}"
+        )
+    reader = _ColumnReader(path, manifest.get("checksums", {}), verify)
+    return _assemble_dataset(reader, manifest, path)
 
 
 def _assemble_dataset(reader, meta: dict, path: Path) -> SteamDataset:

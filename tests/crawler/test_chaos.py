@@ -5,10 +5,9 @@ fault-injecting transport — rate-limit storms, 5xx errors, timeouts,
 truncated payloads, bursts, even a kill-and-resume from checkpoint
 mid-phase — produces a dataset *byte-identical* to a crawl through a
 clean transport.  ``save_dataset`` output is deterministic, so the
-comparison really is on file bytes.
+comparison really is on file bytes: a digest of every file in the
+saved dataset directory.
 """
-
-import hashlib
 
 import pytest
 
@@ -16,6 +15,7 @@ from repro.crawler.checkpoint import CrawlCheckpoint
 from repro.crawler.retry import RetriesExhausted, RetryPolicy
 from repro.crawler.runner import run_full_crawl
 from repro.faults import FaultPlan
+from repro.pipeline.manifest import file_checksum
 from repro.steamapi.errors import ApiError
 from repro.steamapi.faults import FaultInjectingTransport, FaultSpec
 from repro.steamapi.service import SteamApiService
@@ -33,14 +33,13 @@ def clean_sha(service, tmp_path_factory):
     """Byte-level digest of the dataset a clean crawl produces."""
     result = run_full_crawl(InProcessTransport(service))
     path = save_dataset(
-        result.dataset, tmp_path_factory.mktemp("clean") / "clean.npz"
+        result.dataset, tmp_path_factory.mktemp("clean") / "clean"
     )
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return file_checksum(path)
 
 
 def _sha(dataset, directory, name):
-    path = save_dataset(dataset, directory / name)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return file_checksum(save_dataset(dataset, directory / name))
 
 
 #: >= 5% total fault rate across all four kinds, with 2-long bursts.
@@ -81,7 +80,7 @@ class TestChaosCrawl:
         )
         assert result.retries >= result.n_injected_faults
         assert result.n_skipped == 0
-        assert _sha(result.dataset, tmp_path, "chaos.npz") == clean_sha
+        assert _sha(result.dataset, tmp_path, "chaos") == clean_sha
 
     def test_kill_and_resume_mid_phase_byte_identical(
         self, service, clean_sha, tmp_path
@@ -130,7 +129,7 @@ class TestChaosCrawl:
             retry=RetryPolicy(sleeper=lambda s: None, **CHAOS_RETRY),
         )
         assert result.n_injected_faults > 0
-        assert _sha(result.dataset, tmp_path, "resumed.npz") == clean_sha
+        assert _sha(result.dataset, tmp_path, "resumed") == clean_sha
 
     def test_graceful_degradation_skips_and_records(
         self, service, clean_sha, tmp_path
@@ -165,7 +164,7 @@ class TestChaosCrawl:
         assert sorted(checkpoint.failures("details")) == sorted(doomed)
         # The rest of the dataset survived: same accounts, fewer details.
         assert result.dataset.n_users == service.dataset.n_users
-        assert _sha(result.dataset, tmp_path, "skip.npz") != clean_sha
+        assert _sha(result.dataset, tmp_path, "skip") != clean_sha
 
     def test_crawlresult_counters_clean_run(self, service):
         result = run_full_crawl(InProcessTransport(service))

@@ -35,7 +35,7 @@ class TestRunManifest:
         manifest.config = {"users": 5, "seed": 1}
         record = manifest.step("crawl")
         record.status = "done"
-        record.artifact = "crawled.npz"
+        record.artifact = "crawled"
         record.checksum = "abc"
         record.seed = 1
         manifest.steps_resumed = 2
@@ -46,7 +46,7 @@ class TestRunManifest:
         assert loaded.steps_resumed == 2
         reloaded = loaded.step("crawl")
         assert reloaded.status == "done"
-        assert reloaded.artifact == "crawled.npz"
+        assert reloaded.artifact == "crawled"
         assert reloaded.checksum == "abc"
 
     def test_corrupt_manifest_starts_fresh_with_warning(self, tmp_path):
@@ -81,6 +81,20 @@ class TestRunManifest:
         a.write_bytes(b"hellp")
         assert file_checksum(a) != before
 
+    def test_directory_checksum_covers_every_file(self, tmp_path):
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "a.npy").write_bytes(b"alpha")
+        (d / "b.npy").write_bytes(b"beta")
+        before = file_checksum(d)
+        assert file_checksum(d) == before
+        (d / "b.npy").write_bytes(b"betb")
+        assert file_checksum(d) != before
+        (d / "b.npy").write_bytes(b"beta")
+        assert file_checksum(d) == before
+        (d / "b.npy").rename(d / "c.npy")
+        assert file_checksum(d) != before
+
     def test_step_record_defaults(self):
         record = StepRecord(name="generate")
         assert record.status == "pending"
@@ -109,9 +123,10 @@ class TestSupervisor:
             "crawl": "done",
             "analyze": "done",
         }
-        for name in ("world.npz", "crawled.npz", "report.txt",
-                     "manifest.json"):
-            assert (workdir / name).exists()
+        for name in ("world", "crawled"):
+            assert (workdir / name / "manifest.json").is_file()
+        for name in ("report.txt", "manifest.json"):
+            assert (workdir / name).is_file()
 
     def test_artifact_checksums_recorded_and_valid(self, clean_run):
         workdir, manifest = clean_run
@@ -157,6 +172,57 @@ class TestSupervisor:
         assert manifest.steps["crawl"].status == "cached"
         assert manifest.steps["analyze"].status == "done"
         assert (workdir / "report.txt").read_bytes() == report_before
+
+    def test_flipped_column_byte_reruns_crawl(self, clean_run, tmp_path):
+        import shutil
+
+        clean_workdir, _ = clean_run
+        workdir = tmp_path / "flipped"
+        shutil.copytree(clean_workdir, workdir)
+        column = workdir / "crawled" / "lib.total_min.npy"
+        data = bytearray(column.read_bytes())
+        data[-1] ^= 0x01
+        column.write_bytes(bytes(data))
+        supervisor = PipelineSupervisor(
+            workdir=workdir, users=USERS, seed=SEED,
+            include_table4=False, http=False,
+        )
+        manifest = supervisor.run()
+        assert manifest.steps["generate"].status == "cached"
+        assert manifest.steps["crawl"].status == "done"
+        assert file_checksum(workdir / "crawled") == file_checksum(
+            clean_workdir / "crawled"
+        )
+        assert (workdir / "report.txt").read_bytes() == (
+            clean_workdir / "report.txt"
+        ).read_bytes()
+
+    def test_record_naming_an_old_artifact_reruns_its_step(
+        self, clean_run, tmp_path
+    ):
+        # A workdir from the .npz layout: its crawl record names
+        # crawled.npz, which analyze no longer reads.
+        import shutil
+
+        clean_workdir, _ = clean_run
+        workdir = tmp_path / "old_layout"
+        shutil.copytree(clean_workdir, workdir)
+        path = workdir / "manifest.json"
+        data = json.loads(path.read_text())
+        data["steps"]["crawl"]["artifact"] = "crawled.npz"
+        data["steps"]["analyze"]["status"] = "running"
+        path.write_text(json.dumps(data))
+        (workdir / "report.txt").unlink()
+        supervisor = PipelineSupervisor(
+            workdir=workdir, users=USERS, seed=SEED,
+            include_table4=False, http=False,
+        )
+        manifest = supervisor.run()
+        assert manifest.steps["crawl"].status == "done"
+        assert manifest.steps["crawl"].artifact == "crawled"
+        assert (workdir / "report.txt").read_bytes() == (
+            clean_workdir / "report.txt"
+        ).read_bytes()
 
     def test_config_mismatch_refuses_to_mix_artifacts(self, clean_run):
         workdir, _ = clean_run

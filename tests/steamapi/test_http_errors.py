@@ -29,8 +29,9 @@ from repro.steamapi.service import DEFAULT_API_KEY, SteamApiService
 class _RawSocketServer:
     """A one-connection-at-a-time server speaking scripted raw HTTP.
 
-    ``behavior(conn)`` gets each accepted connection; whatever bytes it
-    writes (or fails to write) are what the client sees.  This is how
+    ``behavior(conn, closed)`` gets each accepted connection and the
+    event :meth:`close` sets; whatever bytes it writes (or fails to
+    write) are what the client sees.  This is how
     we produce wire-level failures urllib can't fake: short bodies,
     mid-read stalls, resets.
     """
@@ -54,7 +55,7 @@ class _RawSocketServer:
                 return
             try:
                 conn.recv(65536)  # drain the request; content irrelevant
-                self.behavior(conn)
+                self.behavior(conn, self._stop)
             except OSError:
                 pass
             finally:
@@ -78,7 +79,7 @@ class _RawSocketServer:
         self.close()
 
 
-def _short_body(conn) -> None:
+def _short_body(conn, closed) -> None:
     """Advertise 1000 body bytes, send 10, hang up: IncompleteRead."""
     conn.sendall(
         b"HTTP/1.1 200 OK\r\n"
@@ -89,7 +90,7 @@ def _short_body(conn) -> None:
     )
 
 
-def _ok_body(conn) -> None:
+def _ok_body(conn, closed) -> None:
     """A complete keep-alive JSON reply."""
     conn.sendall(
         b"HTTP/1.1 200 OK\r\n"
@@ -100,7 +101,7 @@ def _ok_body(conn) -> None:
     )
 
 
-def _stall_forever(conn) -> None:
+def _stall_forever(conn, closed) -> None:
     """Send headers then nothing: the body read must time out."""
     conn.sendall(
         b"HTTP/1.1 200 OK\r\n"
@@ -108,10 +109,9 @@ def _stall_forever(conn) -> None:
         b"Content-Length: 1000\r\n"
         b"\r\n"
     )
-    # Keep the connection open past the client timeout.
-    import time
-
-    time.sleep(3.0)
+    # Keep the connection open past the client timeout, until the
+    # server closes.
+    closed.wait(timeout=10.0)
 
 
 class TestMidResponseFailures:
@@ -139,7 +139,9 @@ class TestMidResponseFailures:
             return send(self, conn, target, headers, reused)
 
         monkeypatch.setattr(HttpTransport, "_send", recording_send)
-        with _RawSocketServer(lambda conn: replies.pop(0)(conn)) as raw:
+        with _RawSocketServer(
+            lambda conn, closed: replies.pop(0)(conn, closed)
+        ) as raw:
             transport = HttpTransport(raw.base_url, timeout=5.0)
             with pytest.raises(MalformedResponseError, match="mid-response"):
                 transport.request("/anything", {})

@@ -20,6 +20,7 @@ import pytest
 
 from repro.fsutil import atomic_write_bytes, atomic_write_text, atomic_writer
 from repro.obs import Obs
+from repro.pipeline.manifest import file_checksum
 from repro.store.io import load_dataset, save_dataset
 
 
@@ -59,19 +60,43 @@ class TestDatasetWriter:
     def test_failed_save_preserves_previous_dataset(
         self, tmp_path, small_dataset, monkeypatch
     ):
-        target = tmp_path / "world.npz"
+        target = tmp_path / "world"
         save_dataset(small_dataset, target)
-        good = target.read_bytes()
+        good = file_checksum(target)
 
         def explode(*args, **kwargs):
             raise OSError("disk on fire")
 
-        monkeypatch.setattr(np, "savez_compressed", explode)
+        monkeypatch.setattr(np, "save", explode)
         with pytest.raises(OSError):
             save_dataset(small_dataset, target)
-        assert target.read_bytes() == good
+        assert file_checksum(target) == good
+        assert _no_tmp_leftovers(tmp_path)
         reloaded = load_dataset(target)
         assert reloaded.fingerprint() == small_dataset.fingerprint()
+
+    def test_failed_rename_restores_previous_dataset(
+        self, tmp_path, small_dataset, monkeypatch
+    ):
+        # The old directory is already renamed aside when the staged one
+        # fails to move into place: it must be put back.
+        target = tmp_path / "world"
+        save_dataset(small_dataset, target)
+        good = file_checksum(target)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst) == target and ".tmp." in Path(src).name and not (
+                Path(src).name.endswith(".old")
+            ):
+                raise OSError("rename refused")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename refused"):
+            save_dataset(small_dataset, target)
+        assert file_checksum(target) == good
+        assert _no_tmp_leftovers(tmp_path)
 
 
 class TestSnapshotWriter:

@@ -15,10 +15,29 @@ class TestParser:
         assert args.users == 100_000
         assert args.seed == 1603
 
+    def test_default_outputs_are_directories(self):
+        parser = build_parser()
+        assert parser.parse_args(["generate"]).output == "steam_world"
+        assert parser.parse_args(["crawl"]).output == "steam_crawl"
+        assert parser.parse_args(["evolve"]).out_dir == "evolved"
+
+    @pytest.mark.parametrize(
+        "command", ["evolve", "analyze", "export", "figures", "serve-analytics"]
+    )
+    def test_dataset_flag_shared(self, command):
+        args = build_parser().parse_args([command, "--dataset", "d"])
+        assert args.dataset == "d"
+        assert build_parser().parse_args([command]).dataset is None
+
+    @pytest.mark.parametrize("command", ["analyze", "serve-analytics"])
+    def test_engine_flags_shared(self, command):
+        args = build_parser().parse_args([command])
+        assert (args.jobs, args.cache_dir, args.no_cache) == (1, None, False)
+
 
 class TestCommands:
     def test_generate_writes_dataset(self, tmp_path, capsys):
-        out = tmp_path / "world.npz"
+        out = tmp_path / "world"
         code = main(
             ["generate", "--users", "2000", "--seed", "3", "--output", str(out)]
         )
@@ -27,7 +46,7 @@ class TestCommands:
         assert "generated 2,000 accounts" in capsys.readouterr().out
 
     def test_analyze_saved_dataset(self, tmp_path, capsys):
-        data = tmp_path / "world.npz"
+        data = tmp_path / "world"
         main(["generate", "--users", "2000", "--seed", "3", "--output", str(data)])
         report = tmp_path / "report.txt"
         code = main(
@@ -45,6 +64,19 @@ class TestCommands:
         assert "Table 3" in text
         assert "Figure 10" in text
 
+    def test_dataset_flag_verifies_checksums(self, tmp_path, capsys):
+        import numpy as np
+
+        from repro.store.io import DatasetIntegrityError
+
+        data = tmp_path / "world"
+        main(["generate", "--users", "1200", "--seed", "3", "--output", str(data)])
+        column = np.load(data / "lib.total_min.npy")
+        column[0] += 1
+        np.save(data / "lib.total_min.npy", column)
+        with pytest.raises(DatasetIntegrityError, match="lib.total_min"):
+            main(["analyze", "--dataset", str(data), "--skip-table4"])
+
     def test_analyze_prints_to_stdout(self, capsys):
         code = main(
             ["analyze", "--users", "2000", "--seed", "3", "--skip-table4"]
@@ -53,7 +85,7 @@ class TestCommands:
         assert "Table 1" in capsys.readouterr().out
 
     def test_crawl_roundtrip(self, tmp_path, capsys):
-        out = tmp_path / "crawl.npz"
+        out = tmp_path / "crawl"
         code = main(
             ["crawl", "--users", "1500", "--seed", "3", "--output", str(out)]
         )
@@ -82,7 +114,7 @@ class TestCommands:
         assert code == 0
         assert (out / "step_1.delta.json").exists()
         assert (out / "step_2.delta.json").exists()
-        assert (out / "evolved.npz").exists()
+        assert (out / "evolved").exists()
         stdout = capsys.readouterr().out
         assert "step 1" in stdout and "step 2" in stdout
 
@@ -91,14 +123,14 @@ class TestCommands:
 
         delta = WorldDelta.load(out / "step_1.delta.json")
         assert delta.step == 1
-        evolved = load_dataset(out / "evolved.npz")
+        evolved = load_dataset(out / "evolved")
         assert evolved.n_users >= 1500
         # The evolved dataset is analyzable as-is.
         code = main(
             [
                 "analyze",
                 "--dataset",
-                str(out / "evolved.npz"),
+                str(out / "evolved"),
                 "--skip-table4",
             ]
         )
@@ -156,7 +188,7 @@ class TestCommands:
         assert "log-log pdf" in out
 
     def test_crawl_over_http(self, tmp_path, capsys):
-        out = tmp_path / "crawl_http.npz"
+        out = tmp_path / "crawl_http"
         code = main(
             [
                 "crawl",
@@ -188,7 +220,7 @@ class TestObservability:
     def test_crawl_metrics_out(self, tmp_path, capsys):
         import json
 
-        out = tmp_path / "crawl.npz"
+        out = tmp_path / "crawl"
         metrics = tmp_path / "metrics.json"
         code = main(
             [
@@ -228,7 +260,7 @@ class TestObservability:
                 "--seed",
                 "3",
                 "--output",
-                str(tmp_path / "w.npz"),
+                str(tmp_path / "w"),
                 "--metrics-out",
                 str(metrics),
             ]
@@ -247,7 +279,7 @@ class TestObservability:
                 "--seed",
                 "3",
                 "--output",
-                str(tmp_path / "c.npz"),
+                str(tmp_path / "c"),
                 "--metrics-out",
                 str(metrics),
             ]
@@ -351,7 +383,7 @@ class TestTracingCli:
                 "--seed",
                 "3",
                 "--output",
-                str(tmp_path / "w.npz"),
+                str(tmp_path / "w"),
                 "--metrics-out",
                 str(metrics),
             ]

@@ -19,7 +19,7 @@ class TestEndToEndAgreement:
         direct = SteamStudy(
             world=small_world, _dataset=small_world.dataset
         )
-        path = save_dataset(small_world.dataset, tmp_path / "w.npz")
+        path = save_dataset(small_world.dataset, tmp_path / "w")
         reloaded = SteamStudy.from_dataset(load_dataset(path))
         crawled = direct.crawl()
 
@@ -45,7 +45,7 @@ class TestEndToEndAgreement:
 
     def test_report_renders_identically(self, small_world, tmp_path):
         direct = SteamStudy(world=small_world, _dataset=small_world.dataset)
-        path = save_dataset(small_world.dataset, tmp_path / "w.npz")
+        path = save_dataset(small_world.dataset, tmp_path / "w")
         reloaded = SteamStudy.from_dataset(load_dataset(path))
         a = direct.run(include_table4=False, include_week_panel=False)
         b = reloaded.run(include_table4=False, include_week_panel=False)
