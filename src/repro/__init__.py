@@ -22,17 +22,28 @@ Quickstart::
     print(report.render())
 """
 
-from repro.core.study import SteamStudy
-from repro.simworld.config import WorldConfig
-from repro.simworld.world import SteamWorld
-from repro.store.dataset import SteamDataset
+from __future__ import annotations
+
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SteamStudy",
-    "SteamWorld",
-    "SteamDataset",
-    "WorldConfig",
-    "__version__",
-]
+#: Public name -> defining module, imported on first access (PEP 562),
+#: so that ``import repro.crawler`` does not pay for the analyses.
+_EXPORTS = {
+    "SteamStudy": "repro.core.study",
+    "SteamWorld": "repro.simworld.world",
+    "SteamDataset": "repro.store.dataset",
+    "WorldConfig": "repro.simworld.config",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -45,7 +45,7 @@ from repro.core.study import SteamStudy
 from repro.obs import Obs, TraceContext
 from repro.simworld.config import WorldConfig
 from repro.simworld.world import SteamWorld
-from repro.store.io import load_dataset, save_dataset
+from repro.store.io import DatasetIntegrityError, load_dataset, save_dataset
 
 __all__ = ["main"]
 
@@ -66,6 +66,19 @@ def _add_dataset_arg(parser: argparse.ArgumentParser) -> None:
             "instead of generating a world"
         ),
     )
+
+
+class _DatasetArgError(Exception):
+    """A ``--dataset`` that cannot be read: one error line, exit 2."""
+
+
+def _load_dataset_arg(path: str):
+    try:
+        return load_dataset(path)
+    except FileNotFoundError:
+        raise _DatasetArgError(f"{path}: no such dataset directory") from None
+    except DatasetIntegrityError as exc:
+        raise _DatasetArgError(f"{path}: {exc}") from None
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
@@ -159,7 +172,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
     obs = _make_obs(args)
     if args.dataset:
-        source = load_dataset(args.dataset)
+        source = _load_dataset_arg(args.dataset)
     else:
         source = SteamWorld.generate(
             WorldConfig(n_users=args.users, seed=args.seed), obs=obs
@@ -215,7 +228,7 @@ def _resolve_cache(args: argparse.Namespace):
 def _cmd_analyze(args: argparse.Namespace) -> int:
     obs = _make_obs(args)
     if args.dataset:
-        study = SteamStudy.from_dataset(load_dataset(args.dataset))
+        study = SteamStudy.from_dataset(_load_dataset_arg(args.dataset))
     else:
         study = SteamStudy.generate(
             n_users=args.users, seed=args.seed, obs=obs
@@ -308,7 +321,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.core.figures_io import export_figure_data
 
     if args.dataset:
-        study = SteamStudy.from_dataset(load_dataset(args.dataset))
+        study = SteamStudy.from_dataset(_load_dataset_arg(args.dataset))
     else:
         study = SteamStudy.generate(n_users=args.users, seed=args.seed)
     report = study.run(include_table4=False)
@@ -323,7 +336,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from repro.store.export import export_dataset
 
     if args.dataset:
-        dataset = load_dataset(args.dataset)
+        dataset = _load_dataset_arg(args.dataset)
     else:
         world = SteamWorld.generate(
             WorldConfig(n_users=args.users, seed=args.seed)
@@ -388,7 +401,7 @@ def _cmd_serve_analytics(args: argparse.Namespace) -> int:
             or TraceContext.new(seed=getattr(args, "seed", None))
         )
     if args.dataset:
-        dataset = load_dataset(args.dataset)
+        dataset = _load_dataset_arg(args.dataset)
         print(f"loaded dataset from {args.dataset} ({dataset.n_users:,} users)")
     else:
         world = SteamWorld.generate(
@@ -1071,7 +1084,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _DatasetArgError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -122,8 +122,7 @@ class PipelineSupervisor:
         record = timer.record
         record.status = "done"
         record.duration_seconds = round(timer.elapsed(), 3)
-        if note:
-            record.note = note
+        record.note = note  # a rerun must not keep a failed attempt's note
         if record.name in _ARTIFACTS:
             record.artifact = _ARTIFACTS[record.name]
             record.checksum = file_checksum(self._artifact(record.name))

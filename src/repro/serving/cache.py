@@ -17,7 +17,7 @@ whose tags intersect the delta's
 rest are re-keyed and keep serving hits.  Untagged entries (no tag
 derivation, or inserted by older callers) are conservatively evicted.
 
-Thread safety matters here — every ``ThreadingHTTPServer`` handler
+Thread safety matters here — every HTTP server handler
 thread consults the cache concurrently — so all access is under one
 lock; entries are fully materialized response payloads (plain dicts),
 so the critical section is a dict move, never a recompute.

@@ -1,8 +1,10 @@
 """JSON-over-HTTP server exposing a dispatch function on localhost.
 
-Stdlib only (ThreadingHTTPServer).  Typed API errors map to HTTP status
-codes; rate-limit errors carry a ``Retry-After`` header, which the
-crawler's backoff honours.  :func:`serve` wraps a
+A thread per connection (:class:`socketserver.ThreadingTCPServer`)
+runs its own HTTP/1.1 keep-alive loop over :mod:`repro.steamapi.wire`
+framing.  Typed API errors map to HTTP status codes; rate-limit errors
+carry a ``Retry-After`` header, which the crawler's backoff honours.
+:func:`serve` wraps a
 :class:`~repro.steamapi.service.SteamApiService`; the lower-level
 :func:`serve_dispatch` accepts any ``dispatch(path, params) -> dict``
 callable, which is how the analytics serving tier
@@ -26,9 +28,14 @@ cardinality bounded.  Access logging goes through the
 hammer the server with thousands of requests and must not spam stderr —
 and on for the ``serve`` CLI command unless ``--quiet``.
 
+Framing errors get the JSON error body too: 414 for a request line
+over 64 KiB, 431 for an over-long header line or more than 100
+headers, 400 for a malformed request line, version or header line, 505
+for HTTP/2 and later, 501 for any method but ``GET``.
+
 Shutdown: request-handler threads are daemonic and
 :meth:`ApiHttpServer.close` drains them with a *bounded* join.  The
-stock ``ThreadingHTTPServer`` defaults (non-daemon handler threads,
+stock ``socketserver`` threading defaults (non-daemon handler threads,
 ``block_on_close = True``) make ``server_close()`` join every in-flight
 handler with no timeout, so one slow or stuck client could hang
 shutdown forever; here a stuck handler is abandoned after
@@ -40,11 +47,12 @@ from __future__ import annotations
 import json
 import logging
 import socket
+import socketserver
 import threading
 import time
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Callable
 from urllib.parse import parse_qs, urlparse
 
@@ -66,6 +74,7 @@ from repro.steamapi.errors import (
     RateLimitedError,
 )
 from repro.steamapi.faults import AbortedResponse, FaultInjectingTransport
+from repro.steamapi import wire
 from repro.steamapi.service import SteamApiService
 from repro.steamapi.transport import InProcessTransport
 
@@ -84,6 +93,9 @@ access_logger = logging.getLogger("repro.steamapi.http")
 #: waits up to this long before the drain starts; the standard library's
 #: 0.5 s default cost every server teardown ~0.25 s on average.
 _SHUTDOWN_POLL_S = 0.05
+
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_SERVER = "repro-steamapi"
 
 
 @dataclass(frozen=True)
@@ -104,10 +116,11 @@ class HttpLimits:
 
     ``max_request_line`` / ``max_headers`` reject oversized request
     lines (**414**) and header blocks (**431**) before they reach
-    dispatch.  They are checked *after* the stdlib parser has read the
-    request — its own hard ceilings (64 KiB line, 100 headers) bound
-    the worst-case buffering — so these are policy limits on what the
-    server will serve, not a reduction of parser memory.
+    dispatch.  They are checked *after* the request is read — the
+    framing's hard ceilings (64 KiB line, 100 headers, see
+    :mod:`repro.steamapi.wire`) bound the worst-case buffering — so
+    these are policy limits on what the server will serve, not a
+    reduction of parser memory.
     """
 
     socket_timeout: float | None = None
@@ -116,8 +129,8 @@ class HttpLimits:
     max_headers: int = 64
 
 
-class DrainingThreadingHTTPServer(ThreadingHTTPServer):
-    """``ThreadingHTTPServer`` whose shutdown cannot hang on a client.
+class DrainingThreadingHTTPServer(socketserver.ThreadingTCPServer):
+    """A thread-per-connection server whose shutdown cannot hang on a client.
 
     Handler threads are daemonic and tracked with their connections;
     :meth:`drain` half-closes those, joins the threads against one
@@ -125,6 +138,7 @@ class DrainingThreadingHTTPServer(ThreadingHTTPServer):
     is bounded even when a handler is wedged behind a stalled client.
     """
 
+    allow_reuse_address = True
     daemon_threads = True
     #: The ThreadingMixIn join-forever path must stay off: drain() is
     #: the bounded replacement.
@@ -196,11 +210,58 @@ def _make_handler(
         "recorded under the nginx-style 499 status sentinel",
     )
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+    class Handler(socketserver.StreamRequestHandler):
         #: StreamRequestHandler applies this to the connection socket,
         #: bounding every read *and* write — the slow-client guard.
         timeout = limits.socket_timeout
+
+        def handle(self) -> None:
+            """Serve requests until one closes the connection."""
+            self.close_connection = False
+            while not self.close_connection:
+                self.handle_one_request()
+
+        def handle_one_request(self) -> None:
+            self.requestline = self.command = self.path = ""
+            self.request_version = "HTTP/1.1"
+            try:
+                try:
+                    line = wire.read_line(self.rfile, 414)
+                    self.requestline = line.decode("latin-1").rstrip("\r\n")
+                    request = wire.parse_request_line(self.requestline)
+                    if request is None:  # EOF or a blank line
+                        self.close_connection = True
+                        return
+                    self.command, path, version, number = request
+                    # Collapse a leading "//": clients read it as a host.
+                    if path.startswith("//"):
+                        path = "/" + path.lstrip("/")
+                    self.path = path
+                    self.request_version = version
+                    self.close_connection = number < (1, 1)
+                    self.headers = wire.read_headers(self.rfile)
+                except wire.FramingError as exc:
+                    self._refuse(exc.status, str(exc))
+                    return
+                connection = (self.headers.get("connection") or "").lower()
+                if connection == "close":
+                    self.close_connection = True
+                elif connection == "keep-alive":
+                    self.close_connection = False
+                if self.command != "GET":
+                    self._refuse(
+                        501, f"unsupported method {self.command[:32]!r}"
+                    )
+                    return
+                self.do_GET()
+            except TimeoutError:
+                # A read or a write timed out: drop the connection.
+                self.close_connection = True
+
+        def _refuse(self, status: int, message: str) -> None:
+            """Answer a request that never reaches dispatch, then close."""
+            self.close_connection = True
+            self._reply_error(BadRequestError(message), status, close=True)
 
         def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
             start = obs.clock()
@@ -225,7 +286,7 @@ def _make_handler(
                     start,
                 )
                 return
-            if len(self.headers.items()) > limits.max_headers:
+            if len(self.headers) > limits.max_headers:
                 self._account(
                     parsed.path,
                     self._reply_error(
@@ -399,12 +460,12 @@ def _make_handler(
                 )
 
         def _reply_error(
-            self, exc: ApiError, status: int | None = None
+            self, exc: ApiError, status: int | None = None, close: bool = False
         ) -> int:
             body = json.dumps(
                 {"error": exc.__class__.__name__, "message": exc.message}
             ).encode("utf-8")
-            extra = {}
+            extra = {"Connection": "close"} if close else {}
             if isinstance(exc, RateLimitedError):
                 extra["Retry-After"] = f"{exc.retry_after:.3f}"
             status = exc.status if status is None else status
@@ -424,20 +485,16 @@ def _make_handler(
             ``length`` overrides the promised ``Content-Length``; an
             HTTP/0.9 request gets the bare body."""
             if self.request_version != "HTTP/0.9":
-                reason = self.responses.get(status, ("",))[0]
                 body = "\r\n".join((
-                    f"{self.protocol_version} {status} {reason}",
-                    f"Server: {self.version_string()}",
-                    f"Date: {self.date_time_string()}",
+                    f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
+                    f"Server: {_SERVER}",
+                    f"Date: {wire.http_date()}",
                     f"Content-Type: {content_type}",
                     f"Content-Length: {len(body) if length is None else length}",
                     *(f"{name}: {value}" for name, value in (extra or {}).items()),
                     "\r\n",
                 )).encode("latin-1") + body
             self.wfile.write(body)
-
-        def log_message(self, *args) -> None:
-            """Route through the access logger, not raw stderr."""
 
     return Handler
 

@@ -9,6 +9,7 @@ and serves it with per-key token-bucket rate limiting.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -105,9 +106,11 @@ class SteamApiService:
         #: first use so non-crawl consumers never pay for it.
         self._app_genres: list[list[dict]] | None = None
         self._app_categories: list[list[dict]] | None = None
-        #: Lazily-built per-product achievement payload lists (see
-        #: :meth:`_achievement_fragments`) — same sharing contract.
-        self._ach_payloads: list[list[dict]] | None = None
+        #: Lazily-built achievement names, rounded percentages and
+        #: per-product offsets (see :meth:`_round_achievement_percentages`).
+        self._ach_names: list[str] | None = None
+        self._ach_percent: np.ndarray | None = None
+        self._ach_offsets: list[int] | None = None
 
     def _appdetails_fragments(self) -> None:
         """Precompute the genre and category lists for every product.
@@ -139,29 +142,25 @@ class SteamApiService:
             multi if flag else single for flag in cat.multiplayer.tolist()
         ]
 
-    def _achievement_fragments(self) -> None:
-        """Precompute every product's achievement-percentage payload.
+    def _round_achievement_percentages(self) -> None:
+        """Precompute every achievement's rounded percentage.
 
         The rates are immutable dataset columns, but the naive path
-        rebuilt the dict list (with a ``round`` per rate) on every
-        request.  ``ACH_<i>`` name strings are shared across products —
-        achievement *i* has the same name everywhere.
+        did a ``round`` per rate on every request.  The rounded values
+        are kept as one float64 array (exact, so ``tolist`` gives back
+        the same floats) rather than as per-product lists of dicts,
+        which held ~2 MB for a 1,000-user world; a request builds its
+        product's few dicts from a slice.  ``ACH_<i>`` name strings are
+        shared across products — achievement *i* has the same name
+        everywhere.
         """
         ach = self.dataset.achievements
         counts = ach.count.tolist()
-        names = [f"ACH_{i}" for i in range(max(counts, default=0))]
-        rates = ach.rates.tolist()
-        payloads = []
-        pos = 0
-        for n in counts:
-            payloads.append(
-                [
-                    {"name": names[i], "percent": round(r * 100.0, 4)}
-                    for i, r in enumerate(rates[pos : pos + n])
-                ]
-            )
-            pos += n
-        self._ach_payloads = payloads
+        self._ach_names = [f"ACH_{i}" for i in range(max(counts, default=0))]
+        self._ach_percent = np.array(
+            [round(r * 100.0, 4) for r in ach.rates.tolist()], dtype=np.float64
+        )
+        self._ach_offsets = [0, *itertools.accumulate(counts)]
 
     # -- setup ---------------------------------------------------------------
 
@@ -351,11 +350,16 @@ class SteamApiService:
         product = self._product_index(int(gameid))
         if self.dataset.achievements is None:
             raise NotFoundError("achievement data unavailable")
-        if self._ach_payloads is None:
-            self._achievement_fragments()
+        if self._ach_percent is None:
+            self._round_achievement_percentages()
+        start, stop = self._ach_offsets[product : product + 2]
+        percents = self._ach_percent[start:stop].tolist()
         return {
             "achievementpercentages": {
-                "achievements": self._ach_payloads[product]
+                "achievements": [
+                    {"name": name, "percent": percent}
+                    for name, percent in zip(self._ach_names, percents)
+                ]
             }
         }
 

@@ -136,3 +136,32 @@ class TestImportGraph:
             check=True,
         ).stdout
         assert out.strip() == "False"
+
+    def test_http_crawl_leaves_stdlib_http_and_analyses_unloaded(self):
+        """An HTTP crawl frames its own wire: neither end loads
+        ``http.client``/``http.server`` (nor ``ssl`` through them), and
+        ``import repro`` no longer pulls in the analyses."""
+        script = (
+            "import sys, repro;"
+            "from repro.crawler.runner import run_full_crawl;"
+            "from repro.steamapi.http_client import HttpTransport;"
+            "from repro.steamapi.http_server import serve;"
+            "from repro.steamapi.service import SteamApiService;"
+            "world = repro.SteamWorld.generate("
+            "repro.WorldConfig(n_users=1000, seed=5));"
+            "server = serve(SteamApiService(world.dataset));"
+            "transport = HttpTransport(server.base_url);"
+            "run_full_crawl(transport);"
+            "transport.close(); server.close();"
+            "print(sorted(m for m in ('http.client', 'http.server', 'ssl',"
+            " 'repro.core.study', 'repro.engine', 'repro.tailfit')"
+            " if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=os.environ.copy(),
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"

@@ -224,6 +224,44 @@ class TestSupervisor:
             clean_workdir / "report.txt"
         ).read_bytes()
 
+    def test_success_after_failure_clears_the_note(
+        self, clean_run, tmp_path, monkeypatch
+    ):
+        import shutil
+
+        clean_workdir, _ = clean_run
+        workdir = tmp_path / "flaky"
+        shutil.copytree(clean_workdir, workdir)
+        (workdir / "report.txt").unlink()
+        write = PipelineSupervisor._write_report
+        calls = []
+
+        def fail_once(self, text):
+            calls.append(text)
+            if len(calls) == 1:
+                raise OSError("disk full")
+            return write(self, text)
+
+        monkeypatch.setattr(PipelineSupervisor, "_write_report", fail_once)
+
+        def supervisor():
+            return PipelineSupervisor(
+                workdir=workdir, users=USERS, seed=SEED,
+                include_table4=False, http=False,
+            )
+
+        with pytest.raises(OSError, match="disk full"):
+            supervisor().run()
+        failed = RunManifest.load(workdir / "manifest.json")
+        assert failed.steps["analyze"].status == "failed"
+        assert failed.steps["analyze"].note == "OSError: disk full"
+        manifest = supervisor().run()
+        assert manifest.steps["analyze"].status == "done"
+        assert manifest.steps["analyze"].note == ""
+        assert RunManifest.load(workdir / "manifest.json").steps[
+            "analyze"
+        ].note == ""
+
     def test_config_mismatch_refuses_to_mix_artifacts(self, clean_run):
         workdir, _ = clean_run
         supervisor = PipelineSupervisor(

@@ -114,6 +114,84 @@ def _stall_forever(conn, closed) -> None:
     closed.wait(timeout=10.0)
 
 
+def _body_to_eof(conn, closed) -> None:
+    """A reply without Content-Length: the body ends when we hang up."""
+    conn.sendall(
+        b"HTTP/1.1 200 OK\r\n"
+        b"Content-Type: application/json\r\n"
+        b"\r\n"
+        b'{"ok": true}'
+    )
+
+
+def _garbage_status(conn, closed) -> None:
+    conn.sendall(b"SMTP ready\r\n\r\n")
+
+
+def _recording_sends(monkeypatch) -> list[bool]:
+    """Record the ``reused`` flag of every :meth:`HttpTransport._send`."""
+    sends: list[bool] = []
+    send = HttpTransport._send
+
+    def recording_send(self, conn, target, headers, reused):
+        sends.append(reused)
+        return send(self, conn, target, headers, reused)
+
+    monkeypatch.setattr(HttpTransport, "_send", recording_send)
+    return sends
+
+
+class TestFraming:
+    def test_body_without_length_is_read_to_eof(self, monkeypatch):
+        sends = _recording_sends(monkeypatch)
+        with _RawSocketServer(_body_to_eof) as raw:
+            with HttpTransport(raw.base_url, timeout=5.0) as transport:
+                assert transport.request("/a", {}) == {"ok": True}
+                assert transport._idle == []  # spent: never reused
+                assert transport.request("/b", {}) == {"ok": True}
+        assert sends == [False, False]
+
+    def test_garbage_status_line_is_malformed(self):
+        with _RawSocketServer(_garbage_status) as raw:
+            transport = HttpTransport(raw.base_url, timeout=5.0)
+            with pytest.raises(MalformedResponseError, match="mid-response"):
+                transport.request("/anything", {})
+            assert transport._idle == []
+
+    @pytest.mark.parametrize(
+        "host, address",
+        [
+            ("127.0.0.1:8080", ("127.0.0.1", 8080)),
+            ("localhost", ("localhost", 80)),
+            ("[::1]:8080", ("::1", 8080)),
+            ("[::1]", ("::1", 80)),
+        ],
+    )
+    def test_host_forms(self, host, address):
+        from repro.steamapi.http_client import _address
+
+        assert _address(host) == address
+
+    def test_ipv6_loopback(self):
+        try:
+            listener = socket.create_server(("::1", 0), family=socket.AF_INET6)
+        except OSError:
+            pytest.skip("no IPv6 loopback")
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                _ok_body(conn, None)
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        port = listener.getsockname()[1]
+        with listener, HttpTransport(f"http://[::1]:{port}") as transport:
+            assert transport.request("/v6", {}) == {"ok": True}
+        thread.join(timeout=5)
+
+
 class TestMidResponseFailures:
     def test_truncated_body_raises_retryable_error(self):
         with _RawSocketServer(_short_body) as raw:
@@ -131,14 +209,7 @@ class TestMidResponseFailures:
         self, monkeypatch
     ):
         replies = [_short_body, _ok_body]
-        sends: list[bool] = []  # the ``reused`` flag of every send
-        send = HttpTransport._send
-
-        def recording_send(self, conn, target, headers, reused):
-            sends.append(reused)
-            return send(self, conn, target, headers, reused)
-
-        monkeypatch.setattr(HttpTransport, "_send", recording_send)
+        sends = _recording_sends(monkeypatch)
         with _RawSocketServer(
             lambda conn, closed: replies.pop(0)(conn, closed)
         ) as raw:

@@ -67,15 +67,39 @@ class TestCommands:
     def test_dataset_flag_verifies_checksums(self, tmp_path, capsys):
         import numpy as np
 
-        from repro.store.io import DatasetIntegrityError
-
         data = tmp_path / "world"
         main(["generate", "--users", "1200", "--seed", "3", "--output", str(data)])
         column = np.load(data / "lib.total_min.npy")
         column[0] += 1
         np.save(data / "lib.total_min.npy", column)
-        with pytest.raises(DatasetIntegrityError, match="lib.total_min"):
-            main(["analyze", "--dataset", str(data), "--skip-table4"])
+        capsys.readouterr()
+        assert main(["analyze", "--dataset", str(data), "--skip-table4"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {data}: ")
+        assert "lib.total_min" in err[0]
+        assert "failed its checksum" in err[0]
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "evolve", "export", "figures", "serve-analytics"]
+    )
+    def test_old_npz_dataset_is_one_error_line(self, tmp_path, capsys, command):
+        old = tmp_path / "world.npz"
+        old.write_bytes(b"PK\x03\x04 an old archive")
+        assert main([command, "--dataset", str(old)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {old}: dataset {old} is a file, not a dataset directory "
+            f"(.npz files are no longer read; regenerate the dataset)\n"
+        )
+        assert "Traceback" not in captured.out
+
+    def test_missing_dataset_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        assert main(["analyze", "--dataset", str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {missing}: no such dataset directory\n"
+        )
 
     def test_analyze_prints_to_stdout(self, capsys):
         code = main(
