@@ -54,12 +54,21 @@ class Table4:
         lines = [header, "-" * len(header)]
         for name, r in self.rows.items():
             lines.append(
-                f"{name:<42} {r.pl_vs_exp.R:>10.1f} {r.pl_vs_exp.p:>8.1e} "
-                f"{r.pl_vs_ln.R:>10.1f} {r.pl_vs_ln.p:>8.1e} "
-                f"{r.tpl_vs_pl.R:>10.1f} {r.tpl_vs_pl.p:>8.1e} "
-                f"{r.tpl_vs_ln.R:>10.1f} {r.tpl_vs_ln.p:>8.1e}  {r.label}"
+                f"{name:<42} "
+                f"{_ratio(r.pl_vs_exp.R):>10} {r.pl_vs_exp.p:>8.1e} "
+                f"{_ratio(r.pl_vs_ln.R):>10} {r.pl_vs_ln.p:>8.1e} "
+                f"{_ratio(r.tpl_vs_pl.R):>10} {r.tpl_vs_pl.p:>8.1e} "
+                f"{_ratio(r.tpl_vs_ln.R):>10} {r.tpl_vs_ln.p:>8.1e}  {r.label}"
             )
         return "\n".join(lines)
+
+
+def _ratio(value: float) -> str:
+    """One decimal of a likelihood ratio, with no sign on a zero: a nested
+    ratio of ±1e-10 (TPL collapsed onto the power law) takes its sign
+    from summation order alone."""
+    text = f"{value:.1f}"
+    return "0.0" if text == "-0.0" else text
 
 
 def _friendship_years(dataset: SteamDataset) -> np.ndarray:

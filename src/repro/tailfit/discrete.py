@@ -50,7 +50,7 @@ class DiscretePowerLawFit:
                 hurwitz_zeta(alpha, float(xmin))
             )
 
-        from scipy import optimize  # lazy: ~24 MB of RSS, fits only
+        from scipy import optimize  # only this cross-check loads it
         result = optimize.minimize_scalar(
             nll, bounds=(1.01, 6.0), method="bounded"
         )

@@ -4,6 +4,16 @@ All fits are continuous-support approximations (the convention the
 ``powerlaw`` package applies to discrete data as well unless asked
 otherwise); each fit exposes per-point log-likelihoods so that
 :mod:`repro.tailfit.compare` can run Vuong tests between any pair.
+
+The power-law and exponential MLEs are closed-form. The lognormal and
+truncated-power-law MLEs are numeric, and both are scalar code: their
+negative log-likelihoods come from sufficient statistics summed once
+per fit (``n``, ``Σ log x`` and ``Σ (log x)²`` or ``Σ x``), so each
+evaluation is O(1) rather than O(n), and :func:`_nelder_mead` walks
+the simplex on Python floats step for step as
+``scipy.optimize.minimize(method="Nelder-Mead")`` does, to the same
+bits (the parity tests keep scipy as the reference). A study or store
+build therefore never loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -57,6 +67,177 @@ def upper_gamma(a: float, x: float) -> float:
         a_j = a + j
         value = (value - x**a_j * math.exp(-x)) / a_j
     return value
+
+
+def _lognormal_nll(logs: np.ndarray, xmin: float):
+    """Negative log-likelihood of ``(mu, log sigma)`` for the lognormal
+    truncated below at ``xmin``, in O(1) per call from ``n``, ``Σ log x``
+    and ``Σ (log x)²``."""
+    n = len(logs)
+    s1 = float(np.sum(logs))
+    s2 = float(np.sum(logs * logs))
+    log_xmin = math.log(xmin)
+    const = s1 + 0.5 * n * math.log(2 * math.pi)
+
+    def nll(params) -> float:
+        mu, log_sigma = params
+        sigma = math.exp(log_sigma)
+        # Truncated density: lognormal pdf / SF(xmin).
+        sf = float(special.ndtr(-(log_xmin - mu) / sigma))
+        if sf < 1e-300:
+            return 1e18
+        return (
+            0.5 * (s2 - 2.0 * mu * s1 + n * mu * mu) / (sigma * sigma)
+            + const
+            + n * math.log(sigma)
+            + n * math.log(sf)
+        )
+
+    return nll
+
+
+def _truncated_power_law_nll(tail: np.ndarray, logs: np.ndarray, xmin: float):
+    """Negative log-likelihood of ``(alpha, log lam)`` for the power law
+    with exponential cutoff, in O(1) per call from ``n``, ``Σ log x`` and
+    ``Σ x``."""
+    n = len(tail)
+    s1 = float(np.sum(logs))
+    sx = float(np.sum(tail))
+
+    def nll(params) -> float:
+        alpha = float(params[0])
+        lam = math.exp(params[1])
+        try:
+            z = upper_gamma(1.0 - alpha, lam * xmin) * lam ** (alpha - 1.0)
+        except (ArithmeticError, ValueError):
+            # Float overflow or a zero divisor in the recursion: numpy
+            # scalars would yield inf/NaN here, which the test below
+            # turns into the same guard.
+            return 1e18
+        if not math.isfinite(z) or z <= 0:
+            return 1e18
+        return alpha * s1 + lam * sx + n * math.log(z)
+
+    return nll
+
+
+class _Exhausted(Exception):
+    """The evaluation budget of :func:`_nelder_mead` ran out."""
+
+
+def _nelder_mead(f, x0, maxiter=None, xatol=1e-4, fatol=1e-4):
+    """Minimize ``f`` from ``x0`` by Nelder–Mead; returns ``(x, fun)``.
+
+    Step for step ``scipy.optimize.minimize(f, x0, method="Nelder-Mead",
+    options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})``: the
+    same initial simplex, coefficients, stable vertex sort (NaN last),
+    stopping tests and budgets (``200·N`` iterations and evaluations by
+    default; unlimited evaluations once ``maxiter`` is given), including
+    the abort mid-iteration when evaluations run out. For two parameters
+    ``x`` and ``fun`` match scipy bit for bit; the vertices are lists of
+    Python floats, so an iteration costs a few µs instead of scipy's
+    array overhead.
+    """
+    dim = len(x0)
+    if maxiter is None:
+        maxiter = maxfun = 200 * dim
+    else:
+        maxfun = math.inf
+    calls = 0
+
+    def call(x: list[float]) -> float:
+        nonlocal calls
+        if calls >= maxfun:
+            raise _Exhausted
+        calls += 1
+        return f(x)
+
+    x0 = [float(v) for v in x0]
+    sim = [x0]
+    for k in range(dim):
+        y = list(x0)
+        y[k] = (1.0 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (dim + 1)
+    try:
+        for k in range(dim + 1):
+            fsim[k] = call(sim[k])
+    except _Exhausted:
+        pass
+    _sort_simplex(sim, fsim)
+
+    iterations = 1
+    while calls < maxfun and iterations < maxiter:
+        try:
+            best, fbest = sim[0], fsim[0]
+            if all(
+                abs(v - b) <= xatol
+                for row in sim[1:]
+                for v, b in zip(row, best)
+            ) and all(abs(fbest - fv) <= fatol for fv in fsim[1:]):
+                break
+            xbar = sim[0]
+            for row in sim[1:-1]:
+                xbar = [a + b for a, b in zip(xbar, row)]
+            xbar = [a / dim for a in xbar]
+            worst = sim[-1]
+            xr = [2 * b - w for b, w in zip(xbar, worst)]
+            fxr = call(xr)
+            if fxr < fbest:
+                xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
+                fxe = call(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    # Outside contraction.
+                    xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:
+                    # Inside contraction.
+                    xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+                    fxcc = call(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    # A vertex moves before its evaluation, as in scipy:
+                    # a budget abort leaves it moved with its old value.
+                    for j in range(1, dim + 1):
+                        sim[j] = [
+                            b + 0.5 * (v - b) for b, v in zip(best, sim[j])
+                        ]
+                        fsim[j] = call(sim[j])
+            iterations += 1
+        except _Exhausted:
+            pass
+        _sort_simplex(sim, fsim)
+
+    # np.min semantics: a NaN anywhere (sorted last) is the minimum.
+    fun = fsim[-1] if math.isnan(fsim[-1]) else fsim[0]
+    return sim[0], fun
+
+
+def _sort_simplex(sim: list[list[float]], fsim: list[float]) -> None:
+    """Sort the vertices by value in place: ``np.argsort``'s insertion
+    sort on short arrays, so stable, with NaN last."""
+    for i in range(1, len(fsim)):
+        f, v = fsim[i], sim[i]
+        j = i
+        while j:
+            prev = fsim[j - 1]
+            if not (f < prev or (prev != prev and f == f)):
+                break
+            fsim[j], sim[j] = prev, sim[j - 1]
+            j -= 1
+        fsim[j], sim[j] = f, v
 
 
 @dataclass
@@ -144,38 +325,17 @@ class LognormalFit(TailFit):
     def fit(cls, data: np.ndarray, xmin: float) -> "LognormalFit":
         tail = _validate_tail(data, xmin)
         logs = np.log(tail)
-        log_xmin = math.log(xmin)
-
-        def nll(params: np.ndarray) -> float:
-            mu, log_sigma = params
-            sigma = math.exp(log_sigma)
-            z = (logs - mu) / sigma
-            # Truncated density: lognormal pdf / SF(xmin).
-            sf = special.ndtr(-(log_xmin - mu) / sigma)
-            if sf < 1e-300:
-                return 1e18
-            ll = (
-                -0.5 * z**2
-                - logs
-                - math.log(sigma)
-                - 0.5 * math.log(2 * math.pi)
-                - math.log(sf)
-            )
-            return -float(np.sum(ll))
-
-        start = np.array([float(np.mean(logs)), math.log(max(np.std(logs), 0.05))])
+        nll = _lognormal_nll(logs, xmin)
+        start = [float(np.mean(logs)), math.log(max(np.std(logs), 0.05))]
         # Also try a below-cutoff mode start (common for tail-truncated fits).
-        starts = [start, np.array([log_xmin - 1.0, math.log(1.0)])]
-        from scipy import optimize  # lazy: ~24 MB of RSS, fits only
-        best = None
-        for s in starts:
-            res = optimize.minimize(nll, s, method="Nelder-Mead")
-            if best is None or res.fun < best.fun:
-                best = res
-        assert best is not None
+        starts = [start, [math.log(xmin) - 1.0, math.log(1.0)]]
+        # Best of starts: min() keeps the first of equal values.
+        (mu, log_sigma), _ = min(
+            (_nelder_mead(nll, s) for s in starts), key=lambda res: res[1]
+        )
         obj = cls(xmin=xmin)
-        obj.mu = float(best.x[0])
-        obj.sigma = float(math.exp(best.x[1]))
+        obj.mu = mu
+        obj.sigma = math.exp(log_sigma)
         obj.n = len(tail)
         return obj
 
@@ -211,41 +371,21 @@ class TruncatedPowerLawFit(TailFit):
     def fit(cls, data: np.ndarray, xmin: float) -> "TruncatedPowerLawFit":
         tail = _validate_tail(data, xmin)
         logs = np.log(tail)
+        nll = _truncated_power_law_nll(tail, logs, xmin)
         mean_x = float(np.mean(tail))
         pl_alpha = 1.0 + 1.0 / max(float(np.mean(logs - math.log(xmin))), _EPS)
-
-        def nll(params: np.ndarray) -> float:
-            alpha = params[0]
-            lam = math.exp(params[1])
-            try:
-                z = upper_gamma(1.0 - alpha, lam * xmin) * lam ** (alpha - 1.0)
-            except (OverflowError, ValueError):
-                return 1e18
-            if not np.isfinite(z) or z <= 0:
-                return 1e18
-            ll = -alpha * logs - lam * tail - math.log(z)
-            return -float(np.sum(ll))
-
         starts = [
-            np.array([pl_alpha, math.log(max(0.1 / mean_x, 1e-8))]),
-            np.array([max(pl_alpha - 0.5, 0.6), math.log(max(1.0 / mean_x, 1e-8))]),
-            np.array([1.1, math.log(max(0.01 / mean_x, 1e-9))]),
+            [pl_alpha, math.log(max(0.1 / mean_x, 1e-8))],
+            [max(pl_alpha - 0.5, 0.6), math.log(max(1.0 / mean_x, 1e-8))],
+            [1.1, math.log(max(0.01 / mean_x, 1e-9))],
         ]
-        from scipy import optimize  # lazy: ~24 MB of RSS, fits only
-        best = None
-        for s in starts:
-            res = optimize.minimize(
-                nll,
-                s,
-                method="Nelder-Mead",
-                options={"maxiter": 600, "fatol": 1e-8},
-            )
-            if best is None or res.fun < best.fun:
-                best = res
-        assert best is not None
+        (alpha, log_lam), _ = min(
+            (_nelder_mead(nll, s, maxiter=600, fatol=1e-8) for s in starts),
+            key=lambda res: res[1],
+        )
         obj = cls(xmin=xmin)
-        obj.alpha = float(best.x[0])
-        obj.lam = float(math.exp(best.x[1]))
+        obj.alpha = alpha
+        obj.lam = math.exp(log_lam)
         obj.n = len(tail)
         return obj
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.achievements import achievement_report
-from repro.core.distributions import classify_distributions
+from repro.core.distributions import Table4, classify_distributions
 from repro.core.evolution import snapshot_comparison
 from repro.core.multiplayer import multiplayer_share
 from repro.core.weekpanel import analyze_week_panel
+from repro.tailfit import ClassificationResult
+from repro.tailfit.compare import CompareResult
 
 
 class TestMultiplayerShare:
@@ -191,3 +193,21 @@ class TestTable4Pipeline:
         text = table.render()
         assert "PLvExp R" in text
         assert "classification" in text
+
+    def test_render_prints_zero_ratios_unsigned(self):
+        """A nested TPL-vs-PL ratio of ±1e-10 (TPL collapsed onto the
+        power law) takes its sign from summation order alone; any R that
+        rounds to zero prints as 0.0, and nonzero ones keep their sign."""
+        row = ClassificationResult(
+            label="heavy-tailed",
+            xmin=1.0,
+            n_tail=100,
+            pl_vs_exp=CompareResult(R=-0.04, p=0.5),
+            pl_vs_ln=CompareResult(R=-0.06, p=0.5),
+            tpl_vs_pl=CompareResult(R=-1e-10, p=1.0),
+            tpl_vs_ln=CompareResult(R=1e-10, p=0.5),
+        )
+        line = Table4(rows={"row": row}).render().splitlines()[-1]
+        cells = line.split()
+        assert cells[1::2][:4] == ["0.0", "-0.1", "0.0", "0.0"]
+        assert "-0.0" not in line

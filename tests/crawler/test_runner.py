@@ -114,10 +114,22 @@ class TestAnalysesOnCrawledData:
             )
 
 
+def _run_python(script: str) -> str:
+    """Stdout of ``script`` run in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=os.environ.copy(),
+        check=True,
+    ).stdout
+
+
 class TestImportGraph:
     def test_crawl_leaves_scipy_optimize_unloaded(self):
-        """``scipy.optimize`` costs ~24 MB of resident memory; only the
-        tail fits use it, so a crawl must not pull it in."""
+        """``scipy.optimize`` costs ~23 MB of resident memory and only
+        the discrete power-law cross-check uses it, so a crawl must not
+        pull it in."""
         script = (
             "import sys, repro;"
             "from repro.crawler.runner import run_full_crawl;"
@@ -128,13 +140,23 @@ class TestImportGraph:
             "run_full_crawl(InProcessTransport(SteamApiService(world.dataset)));"
             "print('scipy.optimize' in sys.modules)"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=os.environ.copy(),
-            check=True,
-        ).stdout
+        out = _run_python(script)
+        assert out.strip() == "False"
+
+    def test_study_and_store_build_leave_scipy_optimize_unloaded(self):
+        """The tail fits run their own Nelder–Mead on O(1) likelihoods,
+        so a full study (Table 4 included) and a serving-store build fit
+        every tail without loading ``scipy.optimize``."""
+        script = (
+            "import sys;"
+            "from repro.core.study import SteamStudy;"
+            "from repro.serving.store import AnalyticsStore;"
+            "study = SteamStudy.generate(n_users=1000, seed=5);"
+            "study.run();"
+            "AnalyticsStore.build(study.dataset);"
+            "print('scipy.optimize' in sys.modules)"
+        )
+        out = _run_python(script)
         assert out.strip() == "False"
 
     def test_http_crawl_leaves_stdlib_http_and_analyses_unloaded(self):
@@ -157,11 +179,5 @@ class TestImportGraph:
             " 'repro.core.study', 'repro.engine', 'repro.tailfit')"
             " if m in sys.modules))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=os.environ.copy(),
-            check=True,
-        ).stdout
+        out = _run_python(script)
         assert out.strip() == "[]"

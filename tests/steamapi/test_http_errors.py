@@ -296,10 +296,10 @@ class TestServerErrorPaths:
         before = _counter_total(server, path)
 
         def fetch(sid):
-            transport = HttpTransport(server.base_url)
-            payload = transport.request(
-                path, {"key": DEFAULT_API_KEY, "steamids": str(int(sid))}
-            )
+            with HttpTransport(server.base_url) as transport:
+                payload = transport.request(
+                    path, {"key": DEFAULT_API_KEY, "steamids": str(int(sid))}
+                )
             return payload["response"]["players"][0]["steamid"]
 
         def scrape(_i):
