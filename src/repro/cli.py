@@ -415,7 +415,6 @@ def _cmd_serve_analytics(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=cache,
         obs=obs,
-        max_tail=args.max_tail,
     )
     run = store.build_run
     print(
@@ -861,13 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arg(p_sa)
     p_sa.add_argument("--port", type=int, default=8791)
     _add_engine_args(p_sa)
-    p_sa.add_argument(
-        "--max-tail",
-        type=int,
-        default=60_000,
-        metavar="N",
-        help="tail-sample cap for the /tailfit distribution fits",
-    )
     p_sa.add_argument(
         "--response-cache-size",
         type=int,

@@ -1,29 +1,37 @@
 """Table 4: heavy-tail classification of every measured distribution.
 
-Besides the monolithic :func:`classify_distributions` (one call, one
-shared subsampling RNG), this module exposes the row-sharded view the
-analysis engine parallelizes over: :func:`table4_row_names` enumerates
-the rows a dataset yields, and :func:`classify_row` classifies one row
-with its own deterministic RNG (seeded from the study seed and the row
-name), so rows are independent and their results cacheable per row.
+:func:`table4_row_names` enumerates the rows a dataset yields, and
+:func:`classify_row` classifies one row with its own deterministic RNG
+(seeded from the study seed and the row name), so rows are independent
+and their results cacheable per row.  :func:`table4_row_stage` declares
+one row as an engine stage: the study graph and the serving store both
+build their row stages with it, so on a shared stage cache each tail is
+fitted once.
 """
 
 from __future__ import annotations
 
+import sys
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 
 from repro import constants
+from repro.core.percentiles import ATTRIBUTE_COLUMNS, ATTRIBUTE_VALUES
+from repro.engine import Stage, StageContext
 from repro.store.dataset import SteamDataset
 from repro.tailfit import ClassificationResult, classify
+from repro.tailfit import fits as fits_mod
 
 __all__ = [
+    "ATTRIBUTE_ROWS",
+    "MIN_ROW_POPULATION",
     "Table4",
-    "classify_distributions",
     "table4_row_names",
+    "table4_row_stage",
     "classify_row",
 ]
 
@@ -34,6 +42,21 @@ STAGE_VERSION = "1"
 #: truncated-power-law optimizations dominate; 60k points is plenty for
 #: stable classifications at our scales).
 _MAX_TAIL = 60_000
+
+#: Fewest positive observations a row needs to be classified; smaller
+#: samples yield no row (and a 404 from ``/tailfit/<attr>``).
+MIN_ROW_POPULATION = 100
+
+#: The row that classifies each Table 3 attribute, the one tail fit that
+#: both Table 4 and ``/tailfit/<attr>`` report.
+ATTRIBUTE_ROWS = {
+    "friends": "friendship (all)",
+    "owned_games": "game ownership",
+    "group_memberships": "group membership per user",
+    "market_value": "account market values",
+    "total_playtime_hours": "total playtime",
+    "twoweek_playtime_hours": "two-week playtime",
+}
 
 
 @dataclass(frozen=True)
@@ -81,21 +104,20 @@ def _friendship_years(dataset: SteamDataset) -> np.ndarray:
 
 def _row_specs(
     dataset: SteamDataset,
-    include_snapshot2: bool = True,
-    include_yearly_friendships: bool = True,
 ) -> Iterator[tuple[str, Callable[[], np.ndarray]]]:
     """Every Table 4 row a dataset yields, lazily, in the paper's order.
 
     Yields ``(name, values_thunk)`` so enumerating names (to build the
     engine's shard stages) does not compute any values.
     """
-    yield "account market values", dataset.market_value_dollars
-    yield "total playtime", dataset.total_playtime_hours
-    yield "two-week playtime", dataset.twoweek_playtime_hours
-    yield (
-        "game ownership",
-        lambda: dataset.owned_counts().astype(np.float64),
-    )
+
+    def attribute(name: str) -> tuple[str, Callable[[], np.ndarray]]:
+        return ATTRIBUTE_ROWS[name], partial(ATTRIBUTE_VALUES[name], dataset)
+
+    yield attribute("market_value")
+    yield attribute("total_playtime_hours")
+    yield attribute("twoweek_playtime_hours")
+    yield attribute("owned_games")
     yield (
         "played game ownership",
         lambda: dataset.played_counts().astype(np.float64),
@@ -104,16 +126,10 @@ def _row_specs(
         "group size",
         lambda: dataset.groups.sizes().astype(np.float64),
     )
-    yield (
-        "group membership per user",
-        lambda: dataset.membership_counts().astype(np.float64),
-    )
-    yield (
-        "friendship (all)",
-        lambda: dataset.friend_counts().astype(np.float64),
-    )
+    yield attribute("group_memberships")
+    yield attribute("friends")
 
-    if include_yearly_friendships and dataset.friends.n_edges:
+    if dataset.friends.n_edges:
         friends = dataset.friends
 
         def cumulative_degrees(year: int) -> np.ndarray:
@@ -141,7 +157,7 @@ def _row_specs(
                 lambda y=year: yearly_degrees(y),
             )
 
-    if include_snapshot2 and dataset.snapshot2 is not None:
+    if dataset.snapshot2 is not None:
         s2 = dataset.snapshot2
         yield (
             "account market values (second snapshot)",
@@ -165,23 +181,14 @@ def _row_specs(
         )
 
 
-def table4_row_names(
-    dataset: SteamDataset,
-    include_snapshot2: bool = True,
-    include_yearly_friendships: bool = True,
-) -> tuple[str, ...]:
+def table4_row_names(dataset: SteamDataset) -> tuple[str, ...]:
     """Names of every row Table 4 would attempt, in render order.
 
     Rows whose populations turn out too small still appear here — the
     engine's merge stage drops the ``None`` results — so the shard set
     depends only on cheap dataset facts (years present, snapshot2).
     """
-    return tuple(
-        name
-        for name, _ in _row_specs(
-            dataset, include_snapshot2, include_yearly_friendships
-        )
-    )
+    return tuple(name for name, _ in _row_specs(dataset))
 
 
 def classify_row(
@@ -202,7 +209,7 @@ def classify_row(
         if row_name == name:
             values = values_fn()
             positive = values[values > 0]
-            if len(positive) < 100:
+            if len(positive) < MIN_ROW_POPULATION:
                 return None
             rng = np.random.default_rng(
                 [seed, zlib.crc32(name.encode("utf-8"))]
@@ -211,28 +218,52 @@ def classify_row(
     raise KeyError(f"unknown Table 4 row {name!r}")
 
 
-def classify_distributions(
-    dataset: SteamDataset,
-    include_snapshot2: bool = True,
-    include_yearly_friendships: bool = True,
-    max_tail: int = _MAX_TAIL,
-    seed: int = 0,
-) -> Table4:
-    """Reproduce Table 4 (both snapshots, plus yearly friendship cuts).
+# Rows read narrow slices, so each stage declares its own columns; the
+# six attribute rows read exactly their attribute's columns.
+_ROW_COLUMNS = {
+    **{row: ATTRIBUTE_COLUMNS[attr] for attr, row in ATTRIBUTE_ROWS.items()},
+    "played game ownership": ("lib.indptr", "lib.total_min"),
+    "group size": ("gr.indptr",),
+    "account market values (second snapshot)": ("s2.value_cents",),
+    "total playtime (second snapshot)": ("s2.total_min",),
+    "two-week playtime (second snapshot)": ("s2.twoweek_min",),
+    "game ownership (second snapshot)": ("s2.owned",),
+    "played game ownership (second snapshot)": ("s2.played",),
+}
 
-    This is the monolithic path: one RNG shared across rows in row
-    order (the historical behavior).  The engine instead runs one
-    :func:`classify_row` stage per row; the two agree exactly whenever
-    no tail exceeds ``max_tail`` (no subsampling, no RNG draws).
-    """
-    rng = np.random.default_rng(seed)
-    rows: dict[str, ClassificationResult] = {}
-    for name, values_fn in _row_specs(
-        dataset, include_snapshot2, include_yearly_friendships
-    ):
-        values = values_fn()
-        positive = values[values > 0]
-        if len(positive) < 100:
-            continue
-        rows[name] = classify(positive, max_tail=max_tail, rng=rng)
-    return Table4(rows=rows)
+
+def _row_columns(row: str) -> tuple[str, ...] | None:
+    if row in _ROW_COLUMNS:
+        return _ROW_COLUMNS[row]
+    if row.startswith("friendship"):  # through-year / year-only cuts
+        return ("fr",)
+    # Unmapped: whole-dataset keying (always sound, never a delta hit).
+    return None
+
+
+def _stage_row(ctx: StageContext, row: str) -> ClassificationResult | None:
+    return classify_row(
+        ctx.dataset,
+        row,
+        max_tail=ctx.config["table4_max_tail"],
+        seed=ctx.config["table4_seed"],
+    )
+
+
+def table4_row_stage(row: str) -> Stage:
+    """One Table 4 row as an engine stage, keyed on the row's columns and
+    the ``table4_max_tail``/``table4_seed`` config: the same row in any
+    graph run with the same config has the same cache key."""
+    return Stage(
+        name=f"table4:{row}",
+        fn=_stage_row,
+        params=(("row", row),),
+        config_keys=("table4_max_tail", "table4_seed"),
+        modules=(
+            sys.modules[__name__],
+            sys.modules[classify.__module__],
+            fits_mod,
+        ),
+        version=STAGE_VERSION,
+        columns=_row_columns(row),
+    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from repro.store.dataset import SteamDataset
 __all__ = [
     "ATTRIBUTES",
     "ATTRIBUTE_COLUMNS",
+    "ATTRIBUTE_VALUES",
     "PercentileRow",
     "PercentileTable",
     "attribute_values",
@@ -61,18 +63,25 @@ ATTRIBUTE_COLUMNS: dict[str, tuple[str, ...]] = {
 }
 
 
+def _counts(method: Callable[[SteamDataset], np.ndarray]):
+    return lambda dataset: method(dataset).astype(np.float64)
+
+
+#: Per-user value vector of each attribute, one function per attribute,
+#: so a stage that serves one attribute computes only that vector.
+ATTRIBUTE_VALUES: dict[str, Callable[[SteamDataset], np.ndarray]] = {
+    "friends": _counts(SteamDataset.friend_counts),
+    "owned_games": _counts(SteamDataset.owned_counts),
+    "group_memberships": _counts(SteamDataset.membership_counts),
+    "market_value": SteamDataset.market_value_dollars,
+    "total_playtime_hours": SteamDataset.total_playtime_hours,
+    "twoweek_playtime_hours": SteamDataset.twoweek_playtime_hours,
+}
+
+
 def attribute_values(dataset: SteamDataset) -> dict[str, np.ndarray]:
     """Per-user value vector for every attribute in :data:`ATTRIBUTES`."""
-    return {
-        "friends": dataset.friend_counts().astype(np.float64),
-        "owned_games": dataset.owned_counts().astype(np.float64),
-        "group_memberships": dataset.membership_counts().astype(
-            np.float64
-        ),
-        "market_value": dataset.market_value_dollars(),
-        "total_playtime_hours": dataset.total_playtime_hours(),
-        "twoweek_playtime_hours": dataset.twoweek_playtime_hours(),
-    }
+    return {name: values(dataset) for name, values in ATTRIBUTE_VALUES.items()}
 
 
 def percentile_value(values: np.ndarray, q: float) -> float:

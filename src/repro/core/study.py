@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import repro.tailfit.classify as tailfit_classify_mod
-import repro.tailfit.fits as tailfit_fits_mod
 from repro.core import (
     achievements as ach_mod,
 )
@@ -168,15 +166,6 @@ def _stage_fig12(ctx):
     return panel_mod.analyze_week_panel(ctx.aux["week_panel"])
 
 
-def _stage_table4_row(ctx, row):
-    return dist_mod.classify_row(
-        ctx.dataset,
-        row,
-        max_tail=ctx.config["table4_max_tail"],
-        seed=ctx.config["table4_seed"],
-    )
-
-
 def _stage_table4_merge(ctx, rows):
     merged = {}
     for row in rows:
@@ -188,31 +177,6 @@ def _stage_table4_merge(ctx, rows):
 
 def _versioned(module) -> str:
     return getattr(module, "STAGE_VERSION", "1")
-
-
-# Table 4 rows read narrow slices, so each shard declares its own
-# columns; an unmapped row falls back to whole-dataset keying (always
-# sound, just never an incremental cache hit).
-_TABLE4_ROW_COLUMNS = {
-    "account market values": ("lib.indptr", "lib.indices", "cat.price_cents"),
-    "total playtime": ("lib.indptr", "lib.total_min"),
-    "two-week playtime": ("lib.indptr", "lib.twoweek_min"),
-    "game ownership": ("lib.indptr",),
-    "played game ownership": ("lib.indptr", "lib.total_min"),
-    "group size": ("gr.indptr",),
-    "group membership per user": ("gr.indptr", "gr.indices"),
-    "account market values (second snapshot)": ("s2.value_cents",),
-    "total playtime (second snapshot)": ("s2.total_min",),
-    "two-week playtime (second snapshot)": ("s2.twoweek_min",),
-    "game ownership (second snapshot)": ("s2.owned",),
-    "played game ownership (second snapshot)": ("s2.played",),
-}
-
-
-def _table4_row_columns(row: str) -> tuple[str, ...] | None:
-    if row.startswith("friendship"):  # all / through-year / year-only rows
-        return ("fr",)
-    return _TABLE4_ROW_COLUMNS.get(row)
 
 
 # Columns per sharded correlation attribute (fig11:<attr> shards read
@@ -456,23 +420,7 @@ def build_study_graph(
         # Table 4 dominates serial runtime, so it is sharded one stage
         # per classified row; the merge stage restores render order.
         rows = dist_mod.table4_row_names(dataset)
-        table4_modules = (
-            dist_mod,
-            tailfit_classify_mod,
-            tailfit_fits_mod,
-        )
-        for row in rows:
-            stages.append(
-                Stage(
-                    name=f"table4:{row}",
-                    fn=_stage_table4_row,
-                    params=(("row", row),),
-                    config_keys=("table4_max_tail", "table4_seed"),
-                    modules=table4_modules,
-                    version=_versioned(dist_mod),
-                    columns=_table4_row_columns(row),
-                )
-            )
+        stages.extend(dist_mod.table4_row_stage(row) for row in rows)
         stages.append(
             Stage(
                 name="table4_classification",
@@ -480,7 +428,7 @@ def build_study_graph(
                 params=(("rows", rows),),
                 deps=tuple(f"table4:{row}" for row in rows),
                 config_keys=("table4_max_tail", "table4_seed"),
-                modules=table4_modules,
+                modules=(dist_mod,),
                 version=_versioned(dist_mod),
                 columns=(),  # reads only its deps; their keys are folded
             )

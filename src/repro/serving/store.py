@@ -29,7 +29,6 @@ them to status codes without string matching.
 from __future__ import annotations
 
 import sys
-import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,9 +36,15 @@ import numpy as np
 
 from repro.core import homophily as homophily_mod
 from repro.core import percentiles as percentiles_mod
+from repro.core.distributions import (
+    ATTRIBUTE_ROWS,
+    MIN_ROW_POPULATION,
+    table4_row_stage,
+)
 from repro.core.homophily import HOMOPHILY_ATTRIBUTES, CorrelationSet
 from repro.core.percentiles import (
     ATTRIBUTE_COLUMNS,
+    ATTRIBUTE_VALUES,
     ATTRIBUTES,
     attribute_values,
     percentile_rank,
@@ -52,9 +57,7 @@ from repro.steamapi.deadline import check_deadline
 from repro.steamapi.errors import BadRequestError, NotFoundError
 from repro.store import tables as tables_mod
 from repro.store.dataset import SteamDataset
-from repro.tailfit import classify as classify_mod
-from repro.tailfit import fits as fits_mod
-from repro.tailfit.classify import tail_summary
+from repro.tailfit import ClassificationResult
 
 __all__ = [
     "AnalyticsStore",
@@ -67,10 +70,6 @@ __all__ = [
 #: Bump to force rebuilds when the store layout changes without a
 #: source-level change in the stage modules.
 SERVING_STAGE_VERSION = "1"
-
-#: Fewest positive observations worth handing to the tail fitter; below
-#: this the MLE machinery is noise and ``/tailfit/<attr>`` returns 404.
-MIN_TAIL_OBSERVATIONS = 10
 
 
 @dataclass(frozen=True)
@@ -117,26 +116,11 @@ class AppStats:
 
 
 def _stage_index(ctx: StageContext, attribute: str) -> DistributionIndex:
-    values = attribute_values(ctx.dataset)[attribute]
+    values = ATTRIBUTE_VALUES[attribute](ctx.dataset)
     return DistributionIndex(
         attribute=attribute,
         sorted_values=np.sort(values[values > 0]),
         n_users=ctx.dataset.n_users,
-    )
-
-
-def _stage_tailfit(ctx: StageContext, attribute: str) -> dict | None:
-    values = attribute_values(ctx.dataset)[attribute]
-    positive = values[values > 0]
-    if len(positive) < MIN_TAIL_OBSERVATIONS:
-        return None
-    # Per-attribute deterministic stream, independent of stage order —
-    # the same crc32 device the table-4 rows use.
-    rng = np.random.default_rng(
-        (ctx.config["serving_seed"], zlib.crc32(attribute.encode()))
-    )
-    return tail_summary(
-        positive, max_tail=ctx.config["serving_max_tail"], rng=rng
     )
 
 
@@ -160,7 +144,8 @@ def _stage_app_stats(ctx: StageContext) -> AppStats:
 def build_serving_graph() -> StageGraph:
     """The serving store's stage DAG: all stages independent, so a
     ``jobs=N`` build fans the tail fits (the expensive part) across
-    workers."""
+    workers.  The tail fits are Table 4's own row stages, so a store
+    built on the study's stage cache reuses the study's fits."""
     this = sys.modules[__name__]
     stages: list[Stage] = []
     # Per-attribute stages key on just that attribute's backing columns
@@ -177,17 +162,7 @@ def build_serving_graph() -> StageGraph:
                 columns=ATTRIBUTE_COLUMNS[attribute],
             )
         )
-        stages.append(
-            Stage(
-                name=f"serving_tailfit:{attribute}",
-                fn=_stage_tailfit,
-                params=(("attribute", attribute),),
-                config_keys=("serving_max_tail", "serving_seed"),
-                modules=(this, percentiles_mod, classify_mod, fits_mod),
-                version=SERVING_STAGE_VERSION,
-                columns=ATTRIBUTE_COLUMNS[attribute],
-            )
-        )
+        stages.append(table4_row_stage(ATTRIBUTE_ROWS[attribute]))
     stages.append(
         Stage(
             name="serving_homophily",
@@ -239,7 +214,9 @@ class AnalyticsStore:
     dataset: SteamDataset
     fingerprint: str
     indexes: dict[str, DistributionIndex]
-    tailfits: dict[str, dict | None]
+    #: Table 4's classification of each attribute (``None`` when too
+    #: few users are engaged to fit a tail).
+    tailfits: dict[str, ClassificationResult | None]
     correlations: CorrelationSet
     app_stats: AppStats
     #: What the build executed vs served from cache (telemetry, tests).
@@ -271,7 +248,6 @@ class AnalyticsStore:
         cache: StageCache | None = None,
         obs: Obs | None = None,
         max_tail: int = 60_000,
-        seed: int = 0,
     ) -> "AnalyticsStore":
         """Run the serving stage graph and assemble the store.
 
@@ -280,7 +256,8 @@ class AnalyticsStore:
         dataset fingerprint plus stage code versions.
         """
         graph = build_serving_graph()
-        config = {"serving_max_tail": max_tail, "serving_seed": seed}
+        # SteamStudy.run's Table 4 config: equal config, equal row keys.
+        config = {"table4_max_tail": max_tail, "table4_seed": 0}
         engine = Engine(jobs=jobs, cache=cache, obs=obs, span_prefix="serving:")
         with maybe_span(obs, "serving:build", jobs=jobs, stages=len(graph.stages)):
             run = engine.run(graph, StageContext(dataset=dataset, config=config))
@@ -292,7 +269,7 @@ class AnalyticsStore:
                 a: results[f"serving_index:{a}"] for a in ATTRIBUTES
             },
             tailfits={
-                a: results[f"serving_tailfit:{a}"] for a in ATTRIBUTES
+                a: results[f"table4:{ATTRIBUTE_ROWS[a]}"] for a in ATTRIBUTES
             },
             correlations=results["serving_homophily"],
             app_stats=results["serving_app_stats"],
@@ -479,13 +456,31 @@ class AnalyticsStore:
         """The precomputed 4-way tail classification for an attribute."""
         check_deadline("store")
         self._index_for(attribute)  # 404 on unknown attribute
-        summary = self.tailfits.get(attribute)
-        if summary is None:
+        result = self.tailfits.get(attribute)
+        if result is None:
             raise NotFoundError(
                 f"attribute {attribute!r} has too few engaged users "
-                f"(< {MIN_TAIL_OBSERVATIONS}) for a tail fit"
+                f"(< {MIN_ROW_POPULATION}) for a tail fit"
             )
-        return _jsonsafe({"attribute": attribute, **summary})
+        comparisons = {
+            name: {"R": cmp.R, "p": cmp.p}
+            for name, cmp in (
+                ("pl_vs_exp", result.pl_vs_exp),
+                ("pl_vs_ln", result.pl_vs_ln),
+                ("tpl_vs_pl", result.tpl_vs_pl),
+                ("tpl_vs_ln", result.tpl_vs_ln),
+            )
+        }
+        return _jsonsafe(
+            {
+                "attribute": attribute,
+                "label": result.label,
+                "xmin": result.xmin,
+                "n_tail": result.n_tail,
+                "families": result.families,
+                "comparisons": comparisons,
+            }
+        )
 
     def homophily_payload(self, attribute: str) -> dict:
         """One homophily correlation (attribute vs friends' average)."""

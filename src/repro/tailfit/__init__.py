@@ -18,7 +18,6 @@ from repro.tailfit.classify import (
     ClassificationResult,
     classify,
     classify_fit,
-    tail_summary,
 )
 from repro.tailfit.compare import CompareResult, loglikelihood_ratio
 from repro.tailfit.discrete import DiscretePowerLawFit
@@ -43,7 +42,6 @@ __all__ = [
     "CompareResult",
     "classify",
     "classify_fit",
-    "tail_summary",
     "ClassificationResult",
     "power_law_gof",
     "GoodnessOfFit",

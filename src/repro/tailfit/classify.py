@@ -14,7 +14,7 @@ Procedure, following the paper's description and the Table 4 columns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "ClassificationResult",
     "classify",
     "classify_fit",
-    "tail_summary",
 ]
 
 _ALPHA = 0.05
@@ -34,7 +33,8 @@ _ALPHA = 0.05
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Label plus the four comparisons behind it (one Table 4 row)."""
+    """Label plus the four comparisons behind it (one Table 4 row), and
+    the fitted parameters of every candidate family."""
 
     label: str
     xmin: float
@@ -43,6 +43,8 @@ class ClassificationResult:
     pl_vs_ln: CompareResult
     tpl_vs_pl: CompareResult
     tpl_vs_ln: CompareResult
+    #: Family name -> fitted parameters, as plain floats.
+    families: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def row(self) -> dict[str, float | str]:
         """Flat dict matching Table 4's columns."""
@@ -93,6 +95,11 @@ def classify_fit(fit: Fit, alpha: float = _ALPHA) -> ClassificationResult:
             )
         else:
             label = constants.CLASS_LONG
+    # The comparisons above fitted (and cached) every family.
+    pl = fit.fit_family("power_law")
+    exp = fit.fit_family("exponential")
+    ln = fit.fit_family("lognormal")
+    tpl = fit.fit_family("truncated_power_law")
     return ClassificationResult(
         label=label,
         xmin=fit.xmin,
@@ -101,44 +108,7 @@ def classify_fit(fit: Fit, alpha: float = _ALPHA) -> ClassificationResult:
         pl_vs_ln=pl_ln,
         tpl_vs_pl=tpl_pl,
         tpl_vs_ln=tpl_ln,
-    )
-
-
-def tail_summary(
-    data: np.ndarray,
-    xmin: float | None = None,
-    max_tail: int | None = 200_000,
-    alpha: float = _ALPHA,
-    rng: np.random.Generator | None = None,
-) -> dict:
-    """Classification plus fitted family parameters, JSON-shaped.
-
-    The read path behind ``/tailfit/<attr>``: one dict carrying the
-    selected cutoff, the 4-way label, the fitted parameters of every
-    candidate family, and the Vuong comparisons behind the label.
-    Everything is plain floats/strings so the payload serializes (and
-    caches) directly.
-    """
-    fit = Fit(data, xmin=xmin, max_tail=max_tail, rng=rng)
-    result = classify_fit(fit, alpha=alpha)
-    pl = fit.fit_family("power_law")
-    exp = fit.fit_family("exponential")
-    ln = fit.fit_family("lognormal")
-    tpl = fit.fit_family("truncated_power_law")
-    comparisons = {
-        name: {"R": float(cmp.R), "p": float(cmp.p)}
-        for name, cmp in (
-            ("pl_vs_exp", result.pl_vs_exp),
-            ("pl_vs_ln", result.pl_vs_ln),
-            ("tpl_vs_pl", result.tpl_vs_pl),
-            ("tpl_vs_ln", result.tpl_vs_ln),
-        )
-    }
-    return {
-        "label": result.label,
-        "xmin": float(result.xmin),
-        "n_tail": int(result.n_tail),
-        "families": {
+        families={
             "power_law": {"alpha": float(pl.alpha)},
             "exponential": {"lam": float(exp.lam)},
             "lognormal": {"mu": float(ln.mu), "sigma": float(ln.sigma)},
@@ -147,5 +117,4 @@ def tail_summary(
                 "lam": float(tpl.lam),
             },
         },
-        "comparisons": comparisons,
-    }
+    )

@@ -50,23 +50,61 @@ def upper_gamma(a: float, x: float) -> float:
     """Upper incomplete gamma ``Γ(a, x)`` for any real ``a`` and ``x > 0``.
 
     scipy's ``gammaincc`` requires ``a > 0``; for ``a <= 0`` we recurse via
-    ``Γ(a, x) = (Γ(a+1, x) - x^a e^{-x}) / a``.
+    ``Γ(a, x) = (Γ(a+1, x) - x^a e^{-x}) / a`` from ``a + k`` in (0, 1],
+    or, for an integer ``a``, from ``Γ(0, x) = E1(x)``. Below
+    ``-_MAX_RECURSION`` a continued fraction replaces the recursion.
     """
     if x <= 0:
         raise ValueError("x must be positive")
     if a > 0:
         return float(special.gammaincc(a, x) * special.gamma(a))
-    # Recurse upward until the argument is positive.
-    k = int(math.floor(1.0 - a))
-    a_top = a + k
-    if a_top <= 0:  # guard against float edge cases
-        k += 1
+    if a < -_MAX_RECURSION:
+        return _upper_gamma_cf(a, x)
+    if a == math.floor(a):
+        # The recursion would divide by a + j = 0 on its last step.
+        k = int(-a)
+        value = float(special.exp1(x))
+    else:
+        # Recurse upward until the argument is positive.
+        k = int(math.floor(1.0 - a))
         a_top = a + k
-    value = float(special.gammaincc(a_top, x) * special.gamma(a_top))
+        if a_top <= 0:  # guard against float edge cases
+            k += 1
+            a_top = a + k
+        value = float(special.gammaincc(a_top, x) * special.gamma(a_top))
     for j in range(k - 1, -1, -1):
         a_j = a + j
         value = (value - x**a_j * math.exp(-x)) / a_j
     return value
+
+
+#: Deepest recursion :func:`upper_gamma` takes; one step per unit of
+#: ``-a``. A constant tail starts the truncated-power-law fit at
+#: ``alpha ≈ 1e12``, where the recursion would never finish.
+_MAX_RECURSION = 1_000
+
+
+def _upper_gamma_cf(a: float, x: float) -> float:
+    """``Γ(a, x) = x^a e^{-x} / (x + 1 - a - 1(1 - a) / (x + 3 - a - …))``
+    by the modified Lentz method; for ``-a >> x`` it converges within a
+    few terms. ``x^a`` overflows (raising) or underflows as the
+    recursion's terms would."""
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 1_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    return x**a * math.exp(-x) * h
 
 
 def _lognormal_nll(logs: np.ndarray, xmin: float):
@@ -110,9 +148,9 @@ def _truncated_power_law_nll(tail: np.ndarray, logs: np.ndarray, xmin: float):
         try:
             z = upper_gamma(1.0 - alpha, lam * xmin) * lam ** (alpha - 1.0)
         except (ArithmeticError, ValueError):
-            # Float overflow or a zero divisor in the recursion: numpy
-            # scalars would yield inf/NaN here, which the test below
-            # turns into the same guard.
+            # Float overflow in the recursion, or lam * xmin underflowing
+            # to 0: numpy scalars would yield inf/NaN here, which the
+            # test below turns into the same guard.
             return 1e18
         if not math.isfinite(z) or z <= 0:
             return 1e18

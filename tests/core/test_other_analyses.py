@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.achievements import achievement_report
-from repro.core.distributions import Table4, classify_distributions
+from repro.core.distributions import Table4, classify_row, table4_row_names
 from repro.core.evolution import snapshot_comparison
 from repro.core.multiplayer import multiplayer_share
 from repro.core.weekpanel import analyze_week_panel
@@ -135,11 +135,15 @@ class TestAchievementReport:
 class TestTable4Pipeline:
     @pytest.fixture(scope="class")
     def table(self, dataset):
-        return classify_distributions(
-            dataset,
-            include_yearly_friendships=False,
-            max_tail=15_000,
-        )
+        # Every row but the yearly friendship cuts.
+        rows = {}
+        for name in table4_row_names(dataset):
+            if name.startswith("friendship (") and name != "friendship (all)":
+                continue
+            result = classify_row(dataset, name, max_tail=15_000)
+            if result is not None:
+                rows[name] = result
+        return Table4(rows=rows)
 
     def test_core_rows_present(self, table):
         labels = table.labels()

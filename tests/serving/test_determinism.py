@@ -85,7 +85,7 @@ def test_dataset_mutation_invalidates_stage_cache(tmp_path):
     executed = set(rebuilt.build_run.executed)
     assert executed == {
         "serving_index:market_value",
-        "serving_tailfit:market_value",
+        "table4:account market values",
         "serving_homophily",
     }
     assert set(rebuilt.build_run.cached) == {

@@ -105,6 +105,20 @@ class TestSingleUserDataset:
             single_store.distribution_percentile("group_memberships", 50.0)
 
 
+class TestSmallPopulation:
+    def test_tailfit_below_table4_threshold_is_typed_404(self):
+        # 50 users with distinct playtimes: enough to fit a tail, but
+        # under the 100 points Table 4 classifies a row from.
+        store = AnalyticsStore.build(
+            make_tiny_dataset(
+                50, owned=tuple((1, 60 * (i + 1), 0) for i in range(50))
+            )
+        )
+        assert store.indexes["total_playtime_hours"].population == 50
+        with pytest.raises(NotFoundError, match=r"too few .*\(< 100\)"):
+            store.tailfit_payload("total_playtime_hours")
+
+
 class TestDegenerateOverHttp:
     def test_single_user_server_maps_errors(self, single_store):
         server = serve_analytics(single_store, access_log=False)

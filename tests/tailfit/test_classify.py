@@ -13,6 +13,13 @@ class TestKnownDistributions:
         result = classify(sample, rng=np.random.default_rng(0))
         assert result.label == "not heavy-tailed"
 
+    def test_constant_sample_is_not_heavy(self):
+        # 170 users with one friendship each formed in a given year: the
+        # tail has no spread, and the fits must still finish.
+        result = classify(np.ones(170), rng=np.random.default_rng(0))
+        assert result.label == "not heavy-tailed"
+        assert result.n_tail == 170
+
     def test_pure_power_law_stays_heavy(self):
         sample = 1.0 * (
             1 - np.random.default_rng(2).random(30_000)

@@ -40,6 +40,27 @@ class TestUpperGamma:
             )
             assert upper_gamma(a, x) == pytest.approx(expected, rel=1e-6)
 
+    def test_nonpositive_integer_a_matches_expn(self):
+        # Γ(-m, x) = x^-m E_{m+1}(x). Γ(0, x) = E1(x) starts the
+        # recursion; m = 2000 is past it, on the continued fraction.
+        from scipy import special
+
+        cases = [(m, x) for m in range(4) for x in (0.05, 0.7, 3.0)]
+        cases += [(2000, x) for x in (0.9, 1.0, 1.2)]
+        for m, x in cases:
+            expected = x ** (-m) * float(special.expn(m + 1, x))
+            assert upper_gamma(float(-m), x) == pytest.approx(
+                expected, rel=1e-10
+            )
+
+    def test_far_negative_a_is_immediate(self):
+        # A constant tail starts the truncated-power-law fit at
+        # alpha = 1e12 + 0.5 with lam * xmin = 1: Γ(-1e12 + 0.5, 1) is
+        # about e^-1 / 1e12, not 1e12 recursion steps away.
+        assert upper_gamma(-999_999_999_999.5, 1.0) == pytest.approx(
+            np.exp(-1.0) / 1e12, rel=1e-9
+        )
+
     def test_rejects_nonpositive_x(self):
         with pytest.raises(ValueError):
             upper_gamma(0.5, 0.0)
@@ -109,6 +130,14 @@ class TestTruncatedPowerLawFit:
         fit = TruncatedPowerLawFit.fit(sample, xmin=1.0)
         assert fit.alpha == pytest.approx(1.6, abs=0.15)
         assert fit.lam == pytest.approx(1 / 80.0, rel=0.4)
+
+    def test_integer_alpha_loglikelihoods_are_finite(self):
+        # alpha = 2 normalizes with Γ(-1, lam * xmin).
+        fit = TruncatedPowerLawFit(xmin=1.0)
+        fit.alpha, fit.lam = 2.0, 0.1
+        x = np.array([1.0, 2.5, 40.0])
+        assert np.all(np.isfinite(fit.loglikelihoods(x)))
+        assert np.all(np.isfinite(fit.cdf(x)))
 
     def test_cdf_reaches_one(self, module_rng):
         raw = 1.0 * (1 - module_rng.random(100_000)) ** (-1 / 0.8)

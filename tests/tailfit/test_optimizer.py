@@ -142,12 +142,13 @@ class TestNelderMeadParity:
 
     @pytest.mark.parametrize("options", OPTION_SETS)
     def test_guard_value_escape(self, options):
-        """A truncated-power-law start whose normalization overflows
-        returns the guard, and the simplex walks out of it."""
+        """A truncated-power-law start whose normalization leaves the
+        float range (``lam ** (alpha - 1)`` underflows to 0) returns the
+        guard, and the simplex walks out of it."""
         tail, xmin = _tail(1)
         logs = np.log(tail)
         nll = _truncated_power_law_nll(tail, logs, xmin)
-        x0 = [30.0, math.log(1e-3)]
+        x0 = [100.5, -7.5]
         assert nll(x0) == 1e18
         calls = _assert_parity(nll, x0, options)
         assert any(nll(c) < 1e18 for c in calls)
