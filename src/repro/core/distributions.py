@@ -44,7 +44,8 @@ STAGE_VERSION = "1"
 _MAX_TAIL = 60_000
 
 #: Fewest positive observations a row needs to be classified; smaller
-#: samples yield no row (and a 404 from ``/tailfit/<attr>``).
+#: samples, like samples of one distinct value, yield no row (and a 404
+#: from ``/tailfit/<attr>``).
 MIN_ROW_POPULATION = 100
 
 #: The row that classifies each Table 3 attribute, the one tail fit that
@@ -209,7 +210,11 @@ def classify_row(
         if row_name == name:
             values = values_fn()
             positive = values[values > 0]
-            if len(positive) < MIN_ROW_POPULATION:
+            # Too few points, or one value repeated: no tail to classify.
+            if (
+                len(positive) < MIN_ROW_POPULATION
+                or positive.min() == positive.max()
+            ):
                 return None
             rng = np.random.default_rng(
                 [seed, zlib.crc32(name.encode("utf-8"))]

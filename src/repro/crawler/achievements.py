@@ -1,20 +1,13 @@
-"""Phase 4: per-game global achievement percentages (May 2016).
-
-Resilience mirrors the other phases: the harvested rates are stashed in
-the checkpoint with the cursor for lossless resume, and
-``skip_failed=True`` logs-and-skips apps that keep failing after
-retries instead of aborting the crawl.
-"""
+"""Phase 4: per-game global achievement percentages (May 2016)."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.crawler.checkpoint import CrawlCheckpoint
-from repro.crawler.retry import RetriesExhausted
+from repro.crawler.phase import resume, run_phase
 from repro.crawler.session import CrawlSession
 from repro.steamapi.errors import NotFoundError
 
@@ -34,88 +27,36 @@ def crawl_achievements(
     session: CrawlSession,
     appids: list[int],
     checkpoint: CrawlCheckpoint | None = None,
-    checkpoint_every: int = 500,
     skip_failed: bool = False,
 ) -> AchievementCrawl:
     """Fetch global achievement percentages for every app in ``appids``."""
     # (appid, [rates]) pairs: JSON-stashable, dict-ified at the end.
-    harvest: list[list] = []
-    start = 0
-
-    if checkpoint is not None:
-        start = checkpoint.achievements_cursor
-        state = checkpoint.unstash(PHASE)
-        if state is not None:
-            harvest = [list(item) for item in state["rates"]]
-        elif start > 0 and not checkpoint.is_done(PHASE):
-            warnings.warn(
-                "achievement checkpoint has a cursor but no stashed "
-                "harvest; apps fetched before the restart are lost",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    def snapshot(cursor: int, done: bool = False) -> None:
-        if checkpoint is None:
-            return
-        checkpoint.achievements_cursor = cursor
-        checkpoint.stash(PHASE, {"rates": list(harvest)})
-        if done:
-            checkpoint.mark_done(PHASE)
-        checkpoint.save()
-
+    state = resume(checkpoint, PHASE, {"rates": []})
+    rates = state["rates"]
     path = "/ISteamUserStats/GetGlobalAchievementPercentagesForApp/v2"
-    if checkpoint is None or not checkpoint.is_done(PHASE):
-        # Pipelined window over the app list (see storefront.py for the
-        # sequential-equivalence contract).  A NotFoundError is a
-        # per-app non-event (the app simply has no achievements), so it
-        # advances past the app and the window picks up right after.
-        window = max(1, checkpoint_every // 2)
-        position = start
-        while position < len(appids):
-            boundary = (position // checkpoint_every + 1) * checkpoint_every
-            batch = appids[position : min(position + window, boundary)]
-            payloads, error = session.get_many(
-                [(path, {"gameid": int(a)}) for a in batch]
-            )
-            for appid, payload in zip(batch, payloads):
-                entries = payload["achievementpercentages"]["achievements"]
-                harvest.append(
-                    [
-                        int(appid),
-                        [float(e["percent"]) / 100.0 for e in entries],
-                    ]
-                )
-            position += len(payloads)
-            if error is not None:
-                if isinstance(error, NotFoundError):
-                    position += 1
-                elif isinstance(error, RetriesExhausted):
-                    if not skip_failed:
-                        snapshot(position)  # resume retries this app
-                        raise error
-                    if checkpoint is not None:
-                        checkpoint.record_failure(
-                            PHASE, int(appids[position])
-                        )
-                    if session.obs is not None:
-                        session.obs.counter(
-                            "crawler_skipped",
-                            "Identifiers skipped after persistent failures",
-                            ("phase",),
-                        ).inc(phase=PHASE)
-                    position += 1
-                else:
-                    raise error
-            if checkpoint and position < len(appids) and (
-                position % checkpoint_every == 0
-            ):
-                snapshot(position)
-        snapshot(len(appids), done=True)
+
+    def harvest(position: int, appid: int, payloads: list[dict]) -> None:
+        entries = payloads[0]["achievementpercentages"]["achievements"]
+        rates.append(
+            [int(appid), [float(e["percent"]) / 100.0 for e in entries]]
+        )
+
+    run_phase(
+        session,
+        checkpoint,
+        PHASE,
+        appids,
+        lambda appid: ((path, {"gameid": int(appid)}),),
+        harvest,
+        state=state,
+        skip_failed=skip_failed,
+        # An app without achievements is a non-event, not a failure.
+        non_event=NotFoundError,
+    )
 
     return AchievementCrawl(
         rates_by_appid={
-            int(appid): np.array(rates, dtype=np.float32)
-            for appid, rates in harvest
+            int(appid): np.array(values, dtype=np.float32)
+            for appid, values in rates
         }
     )

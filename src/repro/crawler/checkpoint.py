@@ -35,6 +35,14 @@ from repro.obs import Obs
 
 __all__ = ["CrawlCheckpoint"]
 
+#: The cursor field of each resumable phase.
+_CURSOR_FIELDS = {
+    "profiles": "profile_cursor",
+    "details": "detail_cursor",
+    "storefront": "storefront_cursor",
+    "achievements": "achievements_cursor",
+}
+
 
 @dataclass
 class CrawlCheckpoint:
@@ -131,6 +139,13 @@ class CrawlCheckpoint:
             ).inc()
 
     # -- phase state ----------------------------------------------------------
+
+    def cursor(self, phase: str) -> int:
+        """A resumable phase's cursor."""
+        return getattr(self, _CURSOR_FIELDS[phase])
+
+    def set_cursor(self, phase: str, value: int) -> None:
+        setattr(self, _CURSOR_FIELDS[phase], value)
 
     def stash(self, phase: str, payload: dict) -> None:
         """Attach a phase's partial harvest (persisted on next ``save``)."""

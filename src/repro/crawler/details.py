@@ -4,24 +4,20 @@ One account per API call (three calls per account), which is why the
 paper's phase 2 took six months against phase 1's three weeks.  Results
 accumulate into flat arrays ready for CSR assembly.
 
-Resilience: each account's three calls commit atomically — the harvest
-lists only grow once all three succeeded, so an abort mid-account never
-leaves half an account behind (the retried account would otherwise
-duplicate its edges on resume).  With a checkpoint, the partial harvest
-is stashed with the cursor; with ``skip_failed=True``, an account whose
-calls keep failing after retries is logged in the checkpoint and
-skipped rather than aborting a six-month crawl.
+Each account's three calls commit together: the harvest lists only
+grow once all three succeeded, so an abort mid-account never leaves
+half an account behind (the retried account would otherwise duplicate
+its edges on resume).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.crawler.checkpoint import CrawlCheckpoint
-from repro.crawler.retry import RetriesExhausted
+from repro.crawler.phase import resume, run_phase
 from repro.crawler.session import CrawlSession, unix_to_day
 from repro.steamapi.errors import PrivateProfileError
 from repro.steamapi.models import GROUP_ID_BASE
@@ -29,6 +25,9 @@ from repro.steamapi.models import GROUP_ID_BASE
 __all__ = ["DetailCrawl", "crawl_details"]
 
 PHASE = "details"
+
+#: Accounts between checkpoint saves.
+CHECKPOINT_EVERY = 2_000
 
 _STASH_COLUMNS = (
     "edge_a",
@@ -70,137 +69,95 @@ def crawl_details(
     session: CrawlSession,
     steamids: np.ndarray,
     checkpoint: CrawlCheckpoint | None = None,
-    checkpoint_every: int = 2_000,
     skip_failed: bool = False,
 ) -> DetailCrawl:
     """Crawl friends/games/groups for every account in ``steamids``."""
-    columns: dict[str, list[int]] = {name: [] for name in _STASH_COLUMNS}
-    n_private = 0
-    n_skipped = 0
-    start = 0
+    state = resume(
+        checkpoint,
+        PHASE,
+        {
+            **{name: [] for name in _STASH_COLUMNS},
+            "n_private": 0,
+            "n_skipped": 0,
+        },
+    )
+    # Local aliases: these run once per harvested record, millions of
+    # times in a large crawl.
+    (
+        edge_a,
+        edge_b,
+        edge_day,
+        lib_user,
+        lib_appid,
+        lib_total,
+        lib_twoweek,
+        member_user,
+        member_group,
+    ) = (state[name] for name in _STASH_COLUMNS)
 
-    if checkpoint is not None:
-        start = checkpoint.detail_cursor
-        state = checkpoint.unstash(PHASE)
-        if state is not None:
-            for name in _STASH_COLUMNS:
-                columns[name] = [int(x) for x in state[name]]
-            n_private = int(state["n_private"])
-            n_skipped = int(state["n_skipped"])
-        elif start > 0 and not checkpoint.is_done(PHASE):
-            warnings.warn(
-                "detail checkpoint has a cursor but no stashed harvest; "
-                "accounts crawled before the restart are lost",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    def snapshot(cursor: int, done: bool = False) -> None:
-        if checkpoint is None:
-            return
-        checkpoint.detail_cursor = cursor
-        payload = {name: list(values) for name, values in columns.items()}
-        payload["n_private"] = n_private
-        payload["n_skipped"] = n_skipped
-        checkpoint.stash(PHASE, payload)
-        if done:
-            checkpoint.mark_done(PHASE)
-        checkpoint.save()
-
-    if checkpoint is None or not checkpoint.is_done(PHASE):
-        # Local aliases: these run once per harvested record, millions
-        # of times in a large crawl.
-        edge_a, edge_b, edge_day = (
-            columns["edge_a"],
-            columns["edge_b"],
-            columns["edge_day"],
+    def requests(steamid: int) -> tuple:
+        # A private profile fails the first call, and the window stops
+        # there: the other two are never sent, as in a lockstep loop.
+        return (
+            ("/ISteamUser/GetFriendList/v1", {"steamid": steamid}),
+            ("/IPlayerService/GetOwnedGames/v1", {"steamid": steamid}),
+            ("/ISteamUser/GetUserGroupList/v1", {"steamid": steamid}),
         )
-        lib_user, lib_appid = columns["lib_user"], columns["lib_appid"]
-        lib_total, lib_twoweek = (
-            columns["lib_total"],
-            columns["lib_twoweek"],
-        )
-        member_user, member_group = (
-            columns["member_user"],
-            columns["member_group"],
-        )
-        for position in range(start, len(steamids)):
-            steamid = int(steamids[position])
-            # Pipelined window: the account's three detail calls go out
-            # back-to-back through one session call.  get_many stops at
-            # the first escaped error, so a private profile (raised by
-            # the *first* call) suppresses the other two — the same
-            # transport-call sequence as the lockstep loop — and the
-            # all-three-or-nothing commit below keeps resume atomic.
-            payloads, error = session.get_many(
-                [
-                    ("/ISteamUser/GetFriendList/v1", {"steamid": steamid}),
-                    ("/IPlayerService/GetOwnedGames/v1", {"steamid": steamid}),
-                    ("/ISteamUser/GetUserGroupList/v1", {"steamid": steamid}),
-                ]
-            )
-            if error is not None:
-                if isinstance(error, PrivateProfileError):
-                    n_private += 1
-                    if session.obs is not None:
-                        session.obs.counter(
-                            "crawler_private_profiles",
-                            "Accounts whose detail endpoints were private",
-                        ).inc()
-                    continue
-                if not isinstance(error, RetriesExhausted):
-                    raise error
-                if not skip_failed:
-                    snapshot(position)  # resume retries this account
-                    raise error
-                n_skipped += 1
-                if checkpoint is not None:
-                    checkpoint.record_failure(PHASE, steamid)
-                if session.obs is not None:
-                    session.obs.counter(
-                        "crawler_skipped",
-                        "Identifiers skipped after persistent failures",
-                        ("phase",),
-                    ).inc(phase=PHASE)
-                continue
 
-            friends = payloads[0]["friendslist"]["friends"]
-            for record in friends:
-                other = int(record["steamid"])
-                if other <= steamid:
-                    continue  # keep each undirected edge once (u < v)
-                since = record.get("friend_since", 0)
-                edge_a.append(steamid)
-                edge_b.append(other)
-                edge_day.append(unix_to_day(since) if since > 0 else -1)
+    def harvest(position: int, steamid: int, payloads: list[dict]) -> None:
+        friends, games, groups = payloads
+        for record in friends["friendslist"]["friends"]:
+            other = int(record["steamid"])
+            if other <= steamid:
+                continue  # keep each undirected edge once (u < v)
+            since = record.get("friend_since", 0)
+            edge_a.append(steamid)
+            edge_b.append(other)
+            edge_day.append(unix_to_day(since) if since > 0 else -1)
+        for game in games["response"].get("games", []):
+            lib_user.append(position)
+            lib_appid.append(game["appid"])
+            lib_total.append(game.get("playtime_forever", 0))
+            lib_twoweek.append(game.get("playtime_2weeks", 0))
+        for group in groups["response"].get("groups", []):
+            member_user.append(position)
+            member_group.append(group["gid"] - GROUP_ID_BASE)
 
-            games = payloads[1]["response"].get("games", [])
-            for game in games:
-                lib_user.append(position)
-                lib_appid.append(game["appid"])
-                lib_total.append(game.get("playtime_forever", 0))
-                lib_twoweek.append(game.get("playtime_2weeks", 0))
+    def on_skip(error: Exception) -> None:
+        if isinstance(error, PrivateProfileError):
+            state["n_private"] += 1
+            if session.obs is not None:
+                session.obs.counter(
+                    "crawler_private_profiles",
+                    "Accounts whose detail endpoints were private",
+                ).inc()
+        else:
+            state["n_skipped"] += 1
 
-            groups = payloads[2]["response"].get("groups", [])
-            for group in groups:
-                member_user.append(position)
-                member_group.append(group["gid"] - GROUP_ID_BASE)
-
-            if checkpoint and (position + 1) % checkpoint_every == 0:
-                snapshot(position + 1)
-
-        snapshot(len(steamids), done=True)
+    run_phase(
+        session,
+        checkpoint,
+        PHASE,
+        np.asarray(steamids, dtype=np.int64).tolist(),
+        requests,
+        harvest,
+        state=state,
+        every=CHECKPOINT_EVERY,
+        skip_failed=skip_failed,
+        non_event=PrivateProfileError,
+        on_skip=on_skip,
+    )
 
     return DetailCrawl(
-        edge_a=np.array(columns["edge_a"], dtype=np.int64),
-        edge_b=np.array(columns["edge_b"], dtype=np.int64),
-        edge_day=np.array(columns["edge_day"], dtype=np.int32),
-        lib_user=np.array(columns["lib_user"], dtype=np.int64),
-        lib_appid=np.array(columns["lib_appid"], dtype=np.int64),
-        lib_total_min=np.array(columns["lib_total"], dtype=np.int64),
-        lib_twoweek_min=np.array(columns["lib_twoweek"], dtype=np.int32),
-        member_user=np.array(columns["member_user"], dtype=np.int64),
-        member_group=np.array(columns["member_group"], dtype=np.int64),
-        n_private=n_private,
-        n_skipped=n_skipped,
+        edge_a=np.array(edge_a, dtype=np.int64),
+        edge_b=np.array(edge_b, dtype=np.int64),
+        edge_day=np.array(edge_day, dtype=np.int32),
+        lib_user=np.array(lib_user, dtype=np.int64),
+        lib_appid=np.array(lib_appid, dtype=np.int64),
+        lib_total_min=np.array(lib_total, dtype=np.int64),
+        lib_twoweek_min=np.array(lib_twoweek, dtype=np.int32),
+        member_user=np.array(member_user, dtype=np.int64),
+        member_group=np.array(member_group, dtype=np.int64),
+        n_private=state["n_private"],
+        n_skipped=state["n_skipped"],
     )

@@ -7,30 +7,28 @@ when it reached accounts "created just seconds before the moment of
 collection").  Window occupancy is recorded so the density profile the
 paper describes (<50% early, >90% late) can be re-derived.
 
-Resilience: when a checkpoint is supplied, the partial harvest is
-stashed alongside the cursor at every save, so a sweep aborted mid-phase
-(crash, :class:`~repro.crawler.retry.RetriesExhausted`) resumes with
-nothing lost.  With ``skip_failed=True``, a window that keeps failing
-after retries is recorded in the checkpoint's failure log and skipped
-instead of aborting the crawl.
+Each window is one item of :func:`repro.crawler.phase.run_phase`; the
+checkpoint cursor counts IDs, not windows.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import constants
 from repro.crawler.checkpoint import CrawlCheckpoint
-from repro.crawler.retry import RetriesExhausted
+from repro.crawler.phase import resume, run_phase
 from repro.crawler.session import CrawlSession, unix_to_day
 from repro.steamapi.service import MAX_SUMMARY_BATCH
 
 __all__ = ["ProfileSweep", "sweep_profiles"]
 
 PHASE = "profiles"
+
+#: Steam account numbers are 32-bit: the ID offsets a sweep can visit.
+_ID_SPACE = 2**32
 
 
 @dataclass
@@ -78,7 +76,6 @@ def sweep_profiles(
     stop_after_empty: int = 100,
     max_offset: int | None = None,
     checkpoint: CrawlCheckpoint | None = None,
-    checkpoint_every: int = 500,
     batch_size: int = MAX_SUMMARY_BATCH,
     skip_failed: bool = False,
 ) -> ProfileSweep:
@@ -89,138 +86,70 @@ def sweep_profiles(
     """
     if not 1 <= batch_size <= MAX_SUMMARY_BATCH:
         raise ValueError("batch_size must be in [1, 100]")
-    offsets: list[int] = []
-    created: list[int] = []
-    countries: list[str | None] = []
-    cities: list[int] = []
-    window_hits: list[tuple[int, int]] = []
-    empty_run = 0
-    cursor = 0
+    state = resume(
+        checkpoint,
+        PHASE,
+        {
+            "offsets": [],
+            "created": [],
+            "countries": [],
+            "cities": [],
+            "window_hits": [],
+            "empty_run": 0,
+        },
+    )
+    offsets, created, countries, cities, window_hits = (
+        state[k]
+        for k in ("offsets", "created", "countries", "cities", "window_hits")
+    )
+    base = constants.STEAMID_BASE
+    path = "/ISteamUser/GetPlayerSummaries/v2"
 
-    if checkpoint is not None:
-        cursor = checkpoint.profile_cursor
-        state = checkpoint.unstash(PHASE)
-        if state is not None:
-            offsets = [int(x) for x in state["offsets"]]
-            created = [int(x) for x in state["created"]]
-            countries = list(state["countries"])
-            cities = [int(x) for x in state["cities"]]
-            window_hits = [
-                (int(w[0]), int(w[1])) for w in state["window_hits"]
-            ]
-            empty_run = int(state["empty_run"])
-        elif cursor > 0 and not checkpoint.is_done(PHASE):
-            warnings.warn(
-                "profile checkpoint has a cursor but no stashed harvest; "
-                "accounts swept before the restart are lost",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    def requests(offset: int) -> tuple:
+        start = base + offset
+        ids = ",".join(str(start + i) for i in range(batch_size))
+        return ((path, {"steamids": ids}),)
 
-    def snapshot(done: bool = False) -> None:
-        if checkpoint is None:
-            return
-        checkpoint.profile_cursor = cursor
-        checkpoint.stash(
-            PHASE,
-            {
-                "offsets": list(offsets),
-                "created": list(created),
-                "countries": list(countries),
-                "cities": list(cities),
-                "window_hits": [list(w) for w in window_hits],
-                "empty_run": empty_run,
-            },
-        )
-        if done:
-            checkpoint.mark_done(PHASE)
-        checkpoint.save()
+    def harvest(position: int, offset: int, payloads: list[dict]) -> bool:
+        players = payloads[0]["response"]["players"]
+        window_hits.append([offset, len(players)])
+        if not players:
+            state["empty_run"] += 1
+            return state["empty_run"] >= stop_after_empty
+        state["empty_run"] = 0
+        for player in players:
+            offsets.append(int(player["steamid"]) - base)
+            created.append(unix_to_day(player["timecreated"]))
+            countries.append(player.get("loccountrycode"))
+            cities.append(int(player.get("loccityid", -1)))
+        return False
 
-    if checkpoint is None or not checkpoint.is_done(PHASE):
-        base = constants.STEAMID_BASE
-        path = "/ISteamUser/GetPlayerSummaries/v2"
-        window_cap = max(1, checkpoint_every // 2)
-        windows_done = 0
-        completed = False
-        while True:
-            if max_offset is not None and cursor >= max_offset:
-                # Stopped by an explicit bound, not exhaustion: resume
-                # must keep sweeping, so the phase is not "done".
-                break
-            # Pipelined windows, sequential-equivalent to the lockstep
-            # sweep: termination needs ``empty_run`` to reach
-            # ``stop_after_empty``, which takes at least that many more
-            # consecutive empty windows — so a batch of at most
-            # ``stop_after_empty - empty_run`` windows issues exactly
-            # the requests the one-at-a-time loop would have (the stop
-            # can only trigger on the batch's final window).  The batch
-            # also never straddles the checkpoint cadence or
-            # ``max_offset``.
-            n_windows = min(
-                window_cap,
-                stop_after_empty - empty_run,
-                checkpoint_every - windows_done % checkpoint_every,
-            )
-            if max_offset is not None:
-                n_windows = min(
-                    n_windows, -(-(max_offset - cursor) // batch_size)
-                )
-            items = []
-            for w in range(n_windows):
-                start = base + cursor + w * batch_size
-                items.append(
-                    (
-                        path,
-                        {
-                            "steamids": ",".join(
-                                str(start + i) for i in range(batch_size)
-                            )
-                        },
-                    )
-                )
-            payloads, error = session.get_many(items)
-            for response in payloads:
-                players = response["response"]["players"]
-                window_hits.append((cursor, len(players)))
-                if players:
-                    empty_run = 0
-                    for player in players:
-                        offsets.append(int(player["steamid"]) - base)
-                        created.append(unix_to_day(player["timecreated"]))
-                        countries.append(player.get("loccountrycode"))
-                        cities.append(int(player.get("loccityid", -1)))
-                else:
-                    empty_run += 1
-                    if empty_run >= stop_after_empty:
-                        completed = True
-                        break
-                cursor += batch_size
-                windows_done += 1
-            if completed:
-                break
-            if error is not None:
-                if not isinstance(error, RetriesExhausted):
-                    raise error
-                if not skip_failed:
-                    snapshot()  # cursor points at the failed window
-                    raise error
-                # Graceful degradation: log the window and move on; the
-                # occupancy of a skipped window is unknown, so it joins
-                # neither the hit list nor the empty run.
-                if checkpoint is not None:
-                    checkpoint.record_failure(PHASE, cursor)
-                if session.obs is not None:
-                    session.obs.counter(
-                        "crawler_skipped",
-                        "Identifiers skipped after persistent failures",
-                        ("phase",),
-                    ).inc(phase=PHASE)
-                cursor += batch_size
-                windows_done += 1
-                continue  # the lockstep loop skipped this cadence check
-            if checkpoint and windows_done % checkpoint_every == 0:
-                snapshot()
-        snapshot(done=completed)
+    def limit(position: int) -> int:
+        # Termination takes ``stop_after_empty - empty_run`` more empty
+        # windows, so a window no longer than that issues exactly the
+        # requests of the one-at-a-time sweep: the stop can only fall
+        # on its last item.
+        n = stop_after_empty - state["empty_run"]
+        if max_offset is not None:
+            # An explicit bound pauses the sweep unfinished, so a
+            # resume keeps sweeping.
+            n = min(n, -(-(max_offset - position * batch_size) // batch_size))
+        return n
+
+    # A skipped window's occupancy is unknown, so it joins neither the
+    # hit list nor the empty run.
+    run_phase(
+        session,
+        checkpoint,
+        PHASE,
+        range(0, _ID_SPACE, batch_size),
+        requests,
+        harvest,
+        state=state,
+        skip_failed=skip_failed,
+        limit=limit,
+        cursor_step=batch_size,
+    )
 
     order = np.argsort(np.array(offsets, dtype=np.int64), kind="stable")
     return ProfileSweep(
@@ -228,5 +157,5 @@ def sweep_profiles(
         created_day=np.array(created, dtype=np.int32)[order],
         countries=[countries[i] for i in order],
         cities=np.array(cities, dtype=np.int64)[order],
-        window_hits=window_hits,
+        window_hits=[(int(s), int(h)) for s, h in window_hits],
     )

@@ -9,8 +9,9 @@ import numpy as np
 from repro.crawler.achievements import crawl_achievements
 from repro.crawler.checkpoint import CrawlCheckpoint
 from repro.crawler.details import DetailCrawl, crawl_details
+from repro.crawler.phase import run_phase
 from repro.crawler.profiles import ProfileSweep, sweep_profiles
-from repro.crawler.retry import RetriesExhausted, RetryPolicy
+from repro.crawler.retry import RetryPolicy
 from repro.crawler.session import CrawlSession
 from repro.crawler.storefront import catalog_arrays, crawl_storefront
 from repro.crawler.throttle import PolitePacer
@@ -150,46 +151,31 @@ def scrape_group_labels(
     """
     n_groups = len(group_type)
     top = np.argsort(-sizes, kind="stable")[: min(label_top_n, n_groups)]
-    # Pipelined windows (no checkpoint cadence here, so the window is a
-    # free parameter); a group whose retries run dry keeps its default
-    # label and the window resumes right after it.
-    window = 128
-    position = 0
-    while position < len(top):
-        batch = top[position : position + window]
-        payloads, error = session.get_many(
-            [
-                ("/community/group", {"gid": GROUP_ID_BASE + int(g)})
-                for g in batch
-            ]
-        )
-        for g, payload in zip(batch, payloads):
-            group = payload["group"]
-            group_type[g] = group["type"]
-            focus_appid = group.get("focus_appid")
-            if focus_appid is not None:
-                pos = int(np.searchsorted(catalog_appids, int(focus_appid)))
-                if (
-                    pos < len(catalog_appids)
-                    and catalog_appids[pos] == focus_appid
-                ):
-                    focus[g] = pos
-        position += len(payloads)
-        if error is not None:
-            if not isinstance(error, RetriesExhausted) or not skip_failed:
-                raise error
-            # Graceful degradation: the group keeps its default label.
-            if checkpoint is not None:
-                checkpoint.record_failure(
-                    "groups", GROUP_ID_BASE + int(top[position])
-                )
-            if session.obs is not None:
-                session.obs.counter(
-                    "crawler_skipped",
-                    "Identifiers skipped after persistent failures",
-                    ("phase",),
-                ).inc(phase="groups")
-            position += 1
+
+    def harvest(position: int, gid: int, payloads: list[dict]) -> None:
+        g = gid - GROUP_ID_BASE
+        group = payloads[0]["group"]
+        group_type[g] = group["type"]
+        focus_appid = group.get("focus_appid")
+        if focus_appid is not None:
+            pos = int(np.searchsorted(catalog_appids, int(focus_appid)))
+            if (
+                pos < len(catalog_appids)
+                and catalog_appids[pos] == focus_appid
+            ):
+                focus[g] = pos
+
+    # Not resumable: a group whose retries run dry under ``skip_failed``
+    # keeps its default label.
+    run_phase(
+        session,
+        checkpoint,
+        "groups",
+        [GROUP_ID_BASE + int(g) for g in top],
+        lambda gid: (("/community/group", {"gid": gid}),),
+        harvest,
+        skip_failed=skip_failed,
+    )
 
 
 def _assemble_groups(

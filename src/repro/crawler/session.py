@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro import constants
@@ -171,7 +172,7 @@ class CrawlSession:
                     self._m_throughput.set(self.requests_made / elapsed)
 
     def get_many(
-        self, items: list[tuple[str, dict]]
+        self, items: Iterable[tuple[str, dict]]
     ) -> tuple[list[dict], ApiError | None]:
         """Issue a window of requests back-to-back.
 
@@ -189,7 +190,8 @@ class CrawlSession:
         caller would have stopped — with ``results`` holding the
         payloads of the ``len(results)`` requests that succeeded and
         ``error`` the captured exception for item ``len(results)``.
-        Items after the failed one are not issued.
+        Items after the failed one are not issued (nor drawn, when
+        ``items`` is a generator).
         """
         results: list[dict] = []
         pace = self.pacer.pace

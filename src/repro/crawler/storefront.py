@@ -4,22 +4,16 @@ The paper fetched every product's storefront payload (genres, type,
 price, Metacritic, release date) one app per request, voluntarily paced
 at one request per two seconds.  App IDs come from the unpublicized
 ``GetAppList`` endpoint.
-
-Resilience mirrors the other phases: the raw storefront entries are
-stashed in the checkpoint alongside the cursor, so an aborted catalog
-crawl resumes losslessly; ``skip_failed=True`` logs-and-skips apps that
-keep failing after retries.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.crawler.checkpoint import CrawlCheckpoint
-from repro.crawler.retry import RetriesExhausted
+from repro.crawler.phase import resume, run_phase
 from repro.crawler.session import CrawlSession
 from repro.steamapi.models import AppDetails
 
@@ -50,85 +44,36 @@ class CatalogCrawl:
 def crawl_storefront(
     session: CrawlSession,
     checkpoint: CrawlCheckpoint | None = None,
-    checkpoint_every: int = 500,
     skip_failed: bool = False,
 ) -> CatalogCrawl:
     """Fetch the app list, then every product's storefront payload."""
     # Raw (appid, entry) payloads: JSON-stashable, rebuilt into
     # AppDetails at the end, so resume reconstructs identical parses.
-    harvest: list[list] = []
-    start = 0
+    state = resume(checkpoint, PHASE, {"entries": []})
+    entries = state["entries"]
 
-    if checkpoint is not None:
-        start = checkpoint.storefront_cursor
-        state = checkpoint.unstash(PHASE)
-        if state is not None:
-            harvest = [list(item) for item in state["entries"]]
-        elif start > 0 and not checkpoint.is_done(PHASE):
-            warnings.warn(
-                "storefront checkpoint has a cursor but no stashed "
-                "harvest; apps fetched before the restart are lost",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    def snapshot(cursor: int, done: bool = False) -> None:
-        if checkpoint is None:
-            return
-        checkpoint.storefront_cursor = cursor
-        checkpoint.stash(PHASE, {"entries": list(harvest)})
-        if done:
-            checkpoint.mark_done(PHASE)
-        checkpoint.save()
+    def harvest(position: int, appid: int, payloads: list[dict]) -> None:
+        entry = payloads[0][str(appid)]
+        if entry.get("success"):
+            entries.append([appid, entry])
 
     if checkpoint is None or not checkpoint.is_done(PHASE):
         applist = session.get("/ISteamApps/GetAppList/v2")["applist"]["apps"]
-        appids = sorted(int(app["appid"]) for app in applist)
-        # Pipelined transport: issue a bounded window of requests per
-        # session call (sequential-equivalent — same transport order,
-        # pacing, and retries as the one-at-a-time loop), harvesting
-        # the window in bulk.  The window divides checkpoint_every so
-        # checkpoints land on the same positions as the lockstep loop.
-        window = max(1, checkpoint_every // 2)
-        position = start
-        while position < len(appids):
-            # Never let a window straddle a checkpoint boundary, so the
-            # cursor lands on the same positions as the lockstep loop.
-            boundary = (position // checkpoint_every + 1) * checkpoint_every
-            batch = appids[position : min(position + window, boundary)]
-            payloads, error = session.get_many(
-                [("/appdetails", {"appids": appid}) for appid in batch]
-            )
-            for appid, payload in zip(batch, payloads):
-                entry = payload[str(appid)]
-                if entry.get("success"):
-                    harvest.append([appid, entry])
-            position += len(payloads)
-            if error is not None:
-                if not isinstance(error, RetriesExhausted):
-                    raise error
-                if not skip_failed:
-                    snapshot(position)  # resume retries this app
-                    raise error
-                if checkpoint is not None:
-                    checkpoint.record_failure(PHASE, appids[position])
-                if session.obs is not None:
-                    session.obs.counter(
-                        "crawler_skipped",
-                        "Identifiers skipped after persistent failures",
-                        ("phase",),
-                    ).inc(phase=PHASE)
-                position += 1  # skip the poisoned app
-            if checkpoint and position < len(appids) and (
-                position % checkpoint_every == 0
-            ):
-                snapshot(position)
-        snapshot(len(appids), done=True)
+        run_phase(
+            session,
+            checkpoint,
+            PHASE,
+            sorted(int(app["appid"]) for app in applist),
+            lambda appid: (("/appdetails", {"appids": appid}),),
+            harvest,
+            state=state,
+            skip_failed=skip_failed,
+        )
 
     return CatalogCrawl(
         details=[
             AppDetails.from_json(int(appid), entry)
-            for appid, entry in harvest
+            for appid, entry in entries
         ]
     )
 

@@ -33,20 +33,19 @@ import numpy as np
 
 from repro.crawler.checkpoint import CrawlCheckpoint
 from repro.crawler.details import crawl_details
-from repro.crawler.retry import RetriesExhausted, RetryPolicy
+from repro.crawler.phase import run_phase
+from repro.crawler.retry import RetryPolicy
 from repro.crawler.runner import scrape_group_labels
 from repro.crawler.session import CrawlSession, unix_to_day
 from repro.delta.model import DatasetDelta, WorldDelta, dataset_delta
 from repro.obs import Obs, maybe_span
+from repro.steamapi.service import MAX_SUMMARY_BATCH
 from repro.steamapi.transport import Transport
 from repro.store.dataset import DatasetMeta, SteamDataset
 from repro.store.merge import UserDeltaBatch, apply_user_delta
 from repro.store.tables import GroupType, Snapshot2Table
 
 __all__ = ["DeltaCrawlResult", "run_delta_crawl"]
-
-#: GetPlayerSummaries accepts at most 100 SteamIDs per request.
-_SUMMARY_BATCH = 100
 
 
 @dataclass
@@ -84,30 +83,34 @@ def _refetch_profiles(
     created: list[int] = []
     countries: list = []
     cities: list[int] = []
-    for start in range(0, len(steamids), _SUMMARY_BATCH):
-        chunk = steamids[start : start + _SUMMARY_BATCH]
-        try:
-            response = session.get(
-                "/ISteamUser/GetPlayerSummaries/v2",
-                steamids=",".join(str(int(s)) for s in chunk),
-            )
-        except RetriesExhausted:
-            if not skip_failed:
-                raise
-            if checkpoint is not None:
-                checkpoint.record_failure("delta_profiles", int(chunk[0]))
-            if session.obs is not None:
-                session.obs.counter(
-                    "crawler_skipped",
-                    "Identifiers skipped after persistent failures",
-                    ("phase",),
-                ).inc(phase="delta_profiles")
-            continue
-        for player in response["response"]["players"]:
+
+    def harvest(position: int, chunk: list, payloads: list[dict]) -> None:
+        for player in payloads[0]["response"]["players"]:
             offsets.append(int(player["steamid"]) - constants.STEAMID_BASE)
             created.append(unix_to_day(player["timecreated"]))
             countries.append(player.get("loccountrycode"))
             cities.append(int(player.get("loccityid", -1)))
+
+    ids = np.asarray(steamids, dtype=np.int64).tolist()
+    run_phase(
+        session,
+        checkpoint,
+        "delta_profiles",
+        [
+            ids[i : i + MAX_SUMMARY_BATCH]
+            for i in range(0, len(ids), MAX_SUMMARY_BATCH)
+        ],
+        lambda chunk: (
+            (
+                "/ISteamUser/GetPlayerSummaries/v2",
+                {"steamids": ",".join(map(str, chunk))},
+            ),
+        ),
+        harvest,
+        skip_failed=skip_failed,
+        ident=lambda chunk: chunk[0],
+    )
+
     order = np.argsort(np.array(offsets, dtype=np.int64), kind="stable")
     return (
         np.array(offsets, dtype=np.int64)[order],

@@ -455,13 +455,17 @@ class AnalyticsStore:
     def tailfit_payload(self, attribute: str) -> dict:
         """The precomputed 4-way tail classification for an attribute."""
         check_deadline("store")
-        self._index_for(attribute)  # 404 on unknown attribute
+        index = self._index_for(attribute)  # 404 on unknown attribute
         result = self.tailfits.get(attribute)
         if result is None:
-            raise NotFoundError(
-                f"attribute {attribute!r} has too few engaged users "
-                f"(< {MIN_ROW_POPULATION}) for a tail fit"
-            )
+            if index.population < MIN_ROW_POPULATION:
+                reason = (
+                    f"too few engaged users (< {MIN_ROW_POPULATION}) "
+                    "for a tail fit"
+                )
+            else:
+                reason = "one distinct engaged value: no tail to fit"
+            raise NotFoundError(f"attribute {attribute!r} has {reason}")
         comparisons = {
             name: {"R": cmp.R, "p": cmp.p}
             for name, cmp in (

@@ -1,6 +1,8 @@
 """The ``/metrics`` route and server-side request accounting."""
 
+import http.client
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
@@ -44,11 +46,18 @@ class TestMetricsRoute:
         assert 'http_requests_total{path="/metrics",status="200"}' in second
 
     def test_error_statuses_labelled(self, server):
+        # One keep-alive connection: the handler accounts the 404 before
+        # it reads the scrape, so the count is there to be scraped.
+        conn = http.client.HTTPConnection(
+            urlparse(server.base_url).netloc, timeout=10
+        )
         try:
-            urllib.request.urlopen(server.base_url + "/unknown/endpoint")
-        except urllib.error.HTTPError:
-            pass
-        text, _ = _scrape(server)
+            conn.request("GET", "/unknown/endpoint")
+            conn.getresponse().read()
+            conn.request("GET", "/metrics")
+            text = conn.getresponse().read().decode("utf-8")
+        finally:
+            conn.close()
         assert 'path="/unknown/endpoint",status="404"' in text
 
     def test_server_requests_metric_when_service_instrumented(

@@ -15,6 +15,7 @@ import urllib.request
 import pytest
 
 from repro import constants
+from repro.core.distributions import classify_row
 from repro.core.percentiles import ATTRIBUTES
 from repro.serving import AnalyticsStore, serve_analytics
 from repro.steamapi.errors import ApiError, BadRequestError, NotFoundError
@@ -116,6 +117,23 @@ class TestSmallPopulation:
         )
         assert store.indexes["total_playtime_hours"].population == 50
         with pytest.raises(NotFoundError, match=r"too few .*\(< 100\)"):
+            store.tailfit_payload("total_playtime_hours")
+
+
+class TestConstantSample:
+    """150 users who each played exactly one hour: no tail shape."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return make_tiny_dataset(150, owned=((1, 60, 0),) * 150)
+
+    def test_table4_drops_the_row(self, dataset):
+        assert classify_row(dataset, "total playtime") is None
+
+    def test_tailfit_is_typed_404_naming_the_reason(self, dataset):
+        store = AnalyticsStore.build(dataset)
+        assert store.indexes["total_playtime_hours"].population == 150
+        with pytest.raises(NotFoundError, match="one distinct engaged value"):
             store.tailfit_payload("total_playtime_hours")
 
 
