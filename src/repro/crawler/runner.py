@@ -12,9 +12,8 @@ from repro.crawler.details import DetailCrawl, crawl_details
 from repro.crawler.phase import run_phase
 from repro.crawler.profiles import ProfileSweep, sweep_profiles
 from repro.crawler.retry import RetryPolicy
-from repro.crawler.session import CrawlSession
+from repro.crawler.session import CrawlSession, open_crawl
 from repro.crawler.storefront import catalog_arrays, crawl_storefront
-from repro.crawler.throttle import PolitePacer
 from repro.obs import Obs, maybe_span
 from repro.steamapi.models import GROUP_ID_BASE
 from repro.steamapi.transport import Transport
@@ -286,22 +285,17 @@ def run_full_crawl(
     """
     from repro import constants
 
-    pacer = PolitePacer(
+    session, checkpoint = open_crawl(
+        transport,
         advertised_rate,
         politeness,
-        clock=clock,
-        sleeper=sleeper or (lambda s: None),
+        clock,
+        sleeper,
+        retry,
+        skip_failed,
+        obs,
+        checkpoint,
     )
-    if retry is None:
-        retry = RetryPolicy(sleeper=sleeper or (lambda s: None))
-    session = CrawlSession(
-        transport=transport, pacer=pacer, retry=retry, obs=obs
-    )
-    # Track skips even when the caller brings no checkpoint file.
-    if checkpoint is None and skip_failed:
-        checkpoint = CrawlCheckpoint()
-    if checkpoint is not None and obs is not None and checkpoint.obs is None:
-        checkpoint.obs = obs
 
     with maybe_span(obs, "crawl"):
         with maybe_span(obs, "phase:profiles"):

@@ -7,6 +7,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro import constants
+from repro.crawler.checkpoint import CrawlCheckpoint
 from repro.crawler.retry import RetryPolicy
 from repro.crawler.throttle import PolitePacer
 from repro.obs import Obs
@@ -21,7 +22,7 @@ from repro.steamapi.errors import (
 from repro.steamapi.service import DEFAULT_API_KEY
 from repro.steamapi.transport import Transport, endpoint_label
 
-__all__ = ["CrawlSession", "unix_to_day"]
+__all__ = ["CrawlSession", "open_crawl", "unix_to_day"]
 
 #: Errors retrying will never fix (mirrors the retry policy's list).
 _FATAL = (
@@ -275,3 +276,37 @@ class CrawlSession:
         """One counted physical attempt (retry re-entry for get_many)."""
         self.attempts += 1
         return self.transport.request(path, params)
+
+
+def open_crawl(
+    transport: Transport,
+    advertised_rate: float,
+    politeness: float,
+    clock,
+    sleeper,
+    retry: RetryPolicy | None,
+    skip_failed: bool,
+    obs: Obs | None,
+    checkpoint: CrawlCheckpoint | None,
+) -> tuple[CrawlSession, CrawlCheckpoint | None]:
+    """The session and checkpoint a crawl entry point runs on.
+
+    Pacing and the default retry policy sleep through ``sleeper``
+    (no-op when ``None``); ``skip_failed`` gets an in-memory
+    checkpoint when the caller brings none, so skips are tracked; a
+    checkpoint saves under ``obs`` unless it already has a scope.
+    """
+    sleeper = sleeper or (lambda s: None)
+    pacer = PolitePacer(
+        advertised_rate, politeness, clock=clock, sleeper=sleeper
+    )
+    if retry is None:
+        retry = RetryPolicy(sleeper=sleeper)
+    session = CrawlSession(
+        transport=transport, pacer=pacer, retry=retry, obs=obs
+    )
+    if checkpoint is None and skip_failed:
+        checkpoint = CrawlCheckpoint()
+    if checkpoint is not None and obs is not None and checkpoint.obs is None:
+        checkpoint.obs = obs
+    return session, checkpoint

@@ -36,7 +36,7 @@ from repro.crawler.details import crawl_details
 from repro.crawler.phase import run_phase
 from repro.crawler.retry import RetryPolicy
 from repro.crawler.runner import scrape_group_labels
-from repro.crawler.session import CrawlSession, unix_to_day
+from repro.crawler.session import CrawlSession, open_crawl, unix_to_day
 from repro.delta.model import DatasetDelta, WorldDelta, dataset_delta
 from repro.obs import Obs, maybe_span
 from repro.steamapi.service import MAX_SUMMARY_BATCH
@@ -145,23 +145,17 @@ def run_delta_crawl(
     """
     from repro import constants
 
-    from repro.crawler.throttle import PolitePacer
-
-    pacer = PolitePacer(
+    session, checkpoint = open_crawl(
+        transport,
         advertised_rate,
         politeness,
-        clock=clock,
-        sleeper=sleeper or (lambda s: None),
+        clock,
+        sleeper,
+        retry,
+        skip_failed,
+        obs,
+        checkpoint,
     )
-    if retry is None:
-        retry = RetryPolicy(sleeper=sleeper or (lambda s: None))
-    session = CrawlSession(
-        transport=transport, pacer=pacer, retry=retry, obs=obs
-    )
-    if checkpoint is None and skip_failed:
-        checkpoint = CrawlCheckpoint()
-    if checkpoint is not None and obs is not None and checkpoint.obs is None:
-        checkpoint.obs = obs
 
     targets = world_delta.all_offsets()
     target_steamids = targets + constants.STEAMID_BASE

@@ -24,7 +24,6 @@ from repro.fsutil import atomic_write_text
 __all__ = [
     "profiled_call",
     "profile_rows",
-    "render_profile_report",
     "write_profile_report",
 ]
 
@@ -65,26 +64,6 @@ def profile_rows(profiler: cProfile.Profile, top_n: int = DEFAULT_TOP_N) -> list
         )
     rows.sort(key=lambda r: (-r["cumtime"], r["func"]))
     return rows[:top_n]
-
-
-def render_profile_report(profiles: dict[str, list[dict]]) -> str:
-    """Human-readable digest: per stage, the top rows by cumtime."""
-    lines: list[str] = []
-    for stage in sorted(profiles):
-        rows = profiles[stage]
-        lines.append(f"== {stage} ==")
-        if not rows:
-            lines.append("  (no samples)")
-            continue
-        lines.append(
-            f"  {'cumtime':>10} {'tottime':>10} {'ncalls':>8}  function"
-        )
-        for row in rows:
-            lines.append(
-                f"  {row['cumtime']:>10.6f} {row['tottime']:>10.6f} "
-                f"{row['ncalls']:>8}  {row['func']}"
-            )
-    return "\n".join(lines) + "\n"
 
 
 def write_profile_report(

@@ -17,23 +17,19 @@ The pieces:
   go through one injectable clock, so a serial run under a
   :class:`~repro.obs.clock.FakeClock` produces *byte-identical* record
   streams (the determinism contract every obs artifact honours).
-- :class:`RecordBuilder` — one in-flight request's mutable state,
-  created by :meth:`RequestLog.start` and published by
-  :meth:`RequestLog.commit` (exactly once; commits are idempotent).
-- **ambient helpers** — the builder is installed in a
-  :mod:`contextvars` scope for the duration of a dispatch, so layers
-  that should not know about request logging (admission control, the
-  chaos wrapper, the response cache path) can still time themselves
-  (:func:`layer`) or attach facts (:func:`annotate`) with a no-op cost
-  when no record is being built.
-- :func:`wire_scope` — the HTTP handler's seam.  Dispatch owns record
-  *creation*; the wire owns the facts only it can know (final wire
-  status — e.g. the 499 mid-body-abort sentinel — serialize and
-  socket-write time, bytes out).  A handler opens a wire scope around
-  dispatch; the builder defers its commit into the scope, the handler
-  finalizes it after the socket write, and the scope's exit commits
-  any builder left behind by an escaping socket error, so no dispatched
-  request ever goes unrecorded.
+- :class:`RecordBuilder` — one request's record, opened by
+  :meth:`RequestLog.start` and published by :meth:`RequestLog.commit`.
+  It is an explicit value: whoever opens it passes it down the serving
+  path and commits it once.  Layers time themselves into a fixed
+  ``<layer>_s`` slot (:meth:`RecordBuilder.timed`) and annotate with
+  plain attribute writes; ``__slots__`` rejects a misspelt field.  In
+  process, :meth:`~repro.serving.api.AnalyticsService.dispatch` opens
+  and commits the record; over HTTP the handler opens it before
+  dispatch, adds the facts only the wire knows (final status,
+  serialize and socket-write time, bytes out) and commits it in a
+  ``finally``, so an escaping socket error still leaves exactly one
+  record.  The ring keeps committed builders; the record dicts are
+  built, and their seconds rounded, when the ring is read.
 
 Records are plain JSON-shaped dicts.  :func:`encode_record` is the
 canonical serialization (sorted keys, compact separators, one line):
@@ -45,8 +41,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -56,18 +50,16 @@ __all__ = [
     "LAYERS",
     "RecordBuilder",
     "RequestLog",
-    "WireScope",
-    "annotate",
-    "current_builder",
     "encode_record",
-    "layer",
-    "wire_scope",
 ]
 
 #: The per-request latency breakdown, in pipeline order.  Every record
 #: carries all six (zero when a layer was never reached), so readers
 #: never need existence checks and encoded records keep one shape.
 LAYERS = ("admission", "handler", "cache", "store", "serialize", "write")
+
+#: The builder slot each layer's seconds accumulate in.
+_LAYER_SLOTS = tuple((name, f"{name}_s") for name in LAYERS)
 
 #: Seconds are rounded to nanosecond precision: enough for any real
 #: latency, and it keeps JSONL lines compact and stable.
@@ -86,15 +78,16 @@ def encode_record(record: dict) -> bytes:
 
 
 class RecordBuilder:
-    """Mutable state of one in-flight request's record.
+    """One request's record: mutable while the request is in flight.
 
-    Created by :meth:`RequestLog.start`; fields are plain attributes so
-    the dispatch hot path pays attribute stores, not dict churn.  The
-    immutable record dict is built once, at commit.
+    Opened by :meth:`RequestLog.start`; fields are plain attributes so
+    the dispatch hot path pays attribute stores, not dict churn.
+    :meth:`RequestLog.commit` stamps ``total_s`` and ``seq`` and keeps
+    the builder itself in the ring; the record dict
+    (:meth:`as_record`) is built only when the ring is read.
     """
 
     __slots__ = (
-        "log",
         "clock",
         "start_s",
         "path",
@@ -109,15 +102,12 @@ class RecordBuilder:
         "bytes_out",
         "trace_id",
         "span_id",
-        "layers",
-        "committed",
-        "record",
+        *(slot for _, slot in _LAYER_SLOTS),
+        "total_s",
+        "seq",
     )
 
-    def __init__(
-        self, log: "RequestLog", clock: Callable[[], float], path: str
-    ) -> None:
-        self.log = log
+    def __init__(self, clock: Callable[[], float], path: str) -> None:
         self.clock = clock
         self.start_s = clock()
         self.path = path
@@ -132,41 +122,45 @@ class RecordBuilder:
         self.bytes_out = 0
         self.trace_id: str | None = None
         self.span_id: int | None = None
-        self.layers: dict[str, float] = {}
-        self.committed = False
-        self.record: dict | None = None
+        self.admission_s = self.handler_s = self.cache_s = 0.0
+        self.store_s = self.serialize_s = self.write_s = 0.0
 
-    def annotate(self, **fields) -> None:
-        """Set record fields by name (unknown names are a bug)."""
-        for name, value in fields.items():
-            if name not in self.__slots__ or name in (
-                "log",
-                "clock",
-                "layers",
-                "committed",
-                "record",
-            ):
-                raise AttributeError(f"no annotatable record field {name!r}")
-            setattr(self, name, value)
+    def timed(self, slot: str, fn: Callable, *args):
+        """``fn(*args)``, its time added to the ``slot`` layer (e.g.
+        ``"store_s"``) whether it returns or raises: two clock reads."""
+        start = self.clock()
+        try:
+            return fn(*args)
+        finally:
+            setattr(self, slot, getattr(self, slot) + (self.clock() - start))
 
-    def add_layer(self, name: str, seconds: float) -> None:
-        self.layers[name] = self.layers.get(name, 0.0) + seconds
-
-    def finish(self, status: int | None = None) -> dict | None:
-        """Close the dispatch side of this record.
-
-        Inside a :func:`wire_scope` the commit is deferred to the wire
-        (which knows the final status and the socket-side timings);
-        otherwise the record commits immediately.  Returns the
-        committed record, or ``None`` when deferred.
-        """
-        if status is not None:
-            self.status = status
-        scope = _WIRE.get()
-        if scope is not None:
-            scope.builder = self
-            return None
-        return self.log.commit(self)
+    def as_record(self) -> dict:
+        """The committed record as a canonical JSON-shaped dict."""
+        return {
+            "seq": self.seq,
+            "start_s": _seconds(self.start_s),
+            "total_s": self.total_s,
+            "path": self.path,
+            "route": self.route,
+            "status": int(self.status or 0),
+            "admission": self.admission,
+            "breaker": self.breaker,
+            "cache": self.cache,
+            "degraded": bool(self.degraded),
+            "fault": self.fault,
+            "deadline_remaining_s": (
+                None
+                if self.deadline_remaining_s is None
+                else _seconds(self.deadline_remaining_s)
+            ),
+            "bytes_out": int(self.bytes_out),
+            "trace_id": self.trace_id or "-",
+            "span_id": self.span_id,
+            "layers": {
+                name: _seconds(getattr(self, slot))
+                for name, slot in _LAYER_SLOTS
+            },
+        }
 
 
 class RequestLog:
@@ -190,7 +184,7 @@ class RequestLog:
         self.capacity = capacity
         self.clock = clock or time.monotonic
         self._lock = threading.Lock()
-        self._ring: list[dict] = []
+        self._ring: list[RecordBuilder] = []
         self._next_slot = 0
         self._seq = 0
         self._sink = (
@@ -202,64 +196,37 @@ class RequestLog:
 
     def start(self, path: str) -> RecordBuilder:
         """Open a record for one request (reads the clock once)."""
-        return RecordBuilder(self, self.clock, path)
+        return RecordBuilder(self.clock, path)
 
-    def commit(self, builder: RecordBuilder) -> dict:
-        """Publish a builder as an immutable record, exactly once.
+    def commit(self, builder: RecordBuilder) -> int:
+        """Publish a builder as a record; returns its ``seq``.
 
-        Idempotent: a second commit (e.g. the wire scope's safety net
-        after an explicit commit) returns the already-published record.
+        Reads the clock once, for ``total_s``.  Call it once per
+        builder, and change the builder no more: the ring keeps it.
         """
-        if builder.committed:
-            return builder.record  # type: ignore[return-value]
-        total = builder.clock() - builder.start_s
-        layers = {
-            name: _seconds(builder.layers.get(name, 0.0)) for name in LAYERS
-        }
-        record = {
-            "start_s": _seconds(builder.start_s),
-            "total_s": _seconds(total),
-            "path": builder.path,
-            "route": builder.route,
-            "status": int(builder.status if builder.status is not None else 0),
-            "admission": builder.admission,
-            "breaker": builder.breaker,
-            "cache": builder.cache,
-            "degraded": bool(builder.degraded),
-            "fault": builder.fault,
-            "deadline_remaining_s": (
-                None
-                if builder.deadline_remaining_s is None
-                else _seconds(builder.deadline_remaining_s)
-            ),
-            "bytes_out": int(builder.bytes_out),
-            "trace_id": builder.trace_id or "-",
-            "span_id": builder.span_id,
-            "layers": layers,
-        }
+        builder.total_s = _seconds(builder.clock() - builder.start_s)
         with self._lock:
-            record["seq"] = self._seq
+            builder.seq = seq = self._seq
             self._seq += 1
             if len(self._ring) < self.capacity:
-                self._ring.append(record)
+                self._ring.append(builder)
             else:
-                self._ring[self._next_slot] = record
+                self._ring[self._next_slot] = builder
                 self._next_slot = (self._next_slot + 1) % self.capacity
             sink = self._sink
-        builder.committed = True
-        builder.record = record
         if sink is not None:
-            sink.write_line(encode_record(record))
-        return record
+            sink.write_line(encode_record(builder.as_record()))
+        return seq
 
     # -- reading --------------------------------------------------------------
 
     def records(self) -> list[dict]:
         """Every retained record, oldest first."""
         with self._lock:
-            return (
+            ring = (
                 self._ring[self._next_slot :] + self._ring[: self._next_slot]
             )
+        return [builder.as_record() for builder in ring]
 
     def tail(
         self,
@@ -297,124 +264,6 @@ class RequestLog:
         """Flush and fsync the JSONL sink, if any."""
         if self._sink is not None:
             self._sink.close()
-
-
-# -- ambient access -----------------------------------------------------------
-
-_CURRENT: ContextVar[RecordBuilder | None] = ContextVar(
-    "repro_reqlog_builder", default=None
-)
-
-
-def current_builder() -> RecordBuilder | None:
-    """The record being built for this request, or ``None``."""
-    return _CURRENT.get()
-
-
-@contextmanager
-def building(builder: RecordBuilder | None):
-    """Install ``builder`` as the ambient record for the block."""
-    if builder is None:
-        yield None
-        return
-    token = _CURRENT.set(builder)
-    try:
-        yield builder
-    finally:
-        _CURRENT.reset(token)
-
-
-def annotate(**fields) -> None:
-    """Attach facts to the ambient record; no-op outside a request."""
-    builder = _CURRENT.get()
-    if builder is not None:
-        builder.annotate(**fields)
-
-
-@contextmanager
-def layer(name: str):
-    """Time the block into the ambient record's layer breakdown.
-
-    The idiom for instrumenting a layer boundary whose caller may or
-    may not be recording — two clock reads when a record is live, one
-    contextvar read when not.
-    """
-    builder = _CURRENT.get()
-    if builder is None:
-        yield
-        return
-    start = builder.clock()
-    try:
-        yield
-    finally:
-        builder.add_layer(name, builder.clock() - start)
-
-
-# -- the HTTP wire seam -------------------------------------------------------
-
-_WIRE: ContextVar["WireScope | None"] = ContextVar(
-    "repro_reqlog_wire", default=None
-)
-
-
-class WireScope:
-    """One HTTP exchange's claim on the record its dispatch builds."""
-
-    __slots__ = ("trace_id", "span_id", "builder")
-
-    def __init__(
-        self, trace_id: str | None = None, span_id: int | None = None
-    ) -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.builder: RecordBuilder | None = None
-
-    def commit(
-        self,
-        status: int,
-        bytes_out: int = 0,
-        serialize_seconds: float = 0.0,
-        write_seconds: float = 0.0,
-    ) -> dict | None:
-        """Finalize with the wire-side truth and publish the record.
-
-        Returns the committed record (the exemplar/join handle), or
-        ``None`` when the dispatch underneath built no record."""
-        builder = self.builder
-        if builder is None:
-            return None
-        builder.status = status
-        builder.bytes_out = bytes_out
-        if serialize_seconds:
-            builder.add_layer("serialize", serialize_seconds)
-        if write_seconds:
-            builder.add_layer("write", write_seconds)
-        if self.trace_id is not None:
-            builder.trace_id = self.trace_id
-        if self.span_id is not None:
-            builder.span_id = self.span_id
-        return builder.log.commit(builder)
-
-
-@contextmanager
-def wire_scope(
-    trace_id: str | None = None, span_id: int | None = None
-):
-    """Declare that the wire will finalize this request's record.
-
-    Opened by the HTTP handler around dispatch.  On exit, a builder
-    that was deferred here but never explicitly committed (a socket
-    error escaped mid-write) is committed with whatever state it
-    holds, so every dispatched request yields exactly one record.
-    """
-    scope = WireScope(trace_id=trace_id, span_id=span_id)
-    token = _WIRE.set(scope)
-    try:
-        yield scope
-    finally:
-        _WIRE.reset(token)
-        if scope.builder is not None and not scope.builder.committed:
-            scope.builder.log.commit(scope.builder)
 
 
 # -- offline readers ----------------------------------------------------------

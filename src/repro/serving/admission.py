@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.obs import Obs
-from repro.obs import reqlog
+from repro.obs.reqlog import RecordBuilder
 from repro.steamapi.errors import OverloadedError
 
 __all__ = [
@@ -256,7 +256,7 @@ class AdmissionController:
     # -- the admission decision ----------------------------------------------
 
     @contextmanager
-    def admit(self, route: str):
+    def admit(self, route: str, builder: RecordBuilder | None = None):
         """Admit one request or shed it with a typed 429.
 
         Usage::
@@ -267,13 +267,28 @@ class AdmissionController:
         Raises :class:`~repro.steamapi.errors.OverloadedError` (and
         counts the shed) when the breaker is open or a budget is full;
         otherwise holds one in-flight slot for the duration of the
-        block.
+        block.  ``builder``, the request's record when one is being
+        built, gets the breaker state, the decision, and — lock wait
+        included — the decision's time in its ``admission`` layer, so
+        queue pressure at the door is attributable per request.
         """
+        if builder is None:
+            self._enter(route, None)
+        else:
+            builder.timed("admission_s", self._enter, route, builder)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._inflight -= 1
+                self._route_inflight[route] -= 1
+                if self._m_inflight is not None:
+                    self._m_inflight.set(self._inflight)
+
+    def _enter(self, route: str, builder: RecordBuilder | None) -> None:
+        """Take one in-flight slot for ``route`` or shed."""
         config = self.config
-        # The whole admission decision — lock wait included — lands in
-        # the ambient request record's "admission" layer, so queue
-        # pressure at the door is attributable per request.
-        with reqlog.layer("admission"), self._lock:
+        with self._lock:
             if self._m_depth is not None:
                 self._m_depth.observe(self._inflight)
             # Budget checks run before the breaker: allow() may consume
@@ -287,24 +302,18 @@ class AdmissionController:
             if route_limit is not None and route_inflight >= route_limit:
                 self._shed(route, "route", self._jitter())
             breaker = self._breaker(route)
-            reqlog.annotate(breaker=breaker.state)
+            if builder is not None:
+                builder.breaker = breaker.state
             allowed, cooldown_left = breaker.allow()
             if not allowed:
                 self._shed(route, "breaker", cooldown_left + self._jitter())
             self._inflight += 1
             self._route_inflight[route] = route_inflight + 1
             self.admitted += 1
-            reqlog.annotate(admission="admitted")
+            if builder is not None:
+                builder.admission = "admitted"
             if self._m_inflight is not None:
                 self._m_inflight.set(self._inflight)
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._inflight -= 1
-                self._route_inflight[route] -= 1
-                if self._m_inflight is not None:
-                    self._m_inflight.set(self._inflight)
 
     # -- breaker feedback ----------------------------------------------------
 

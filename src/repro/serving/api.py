@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING
 from repro.core.percentiles import ATTRIBUTES
 from repro.engine.fingerprint import query_key
 from repro.obs import Obs, RequestLog, SLOTracker
-from repro.obs import reqlog
+from repro.obs.reqlog import RecordBuilder
 from repro.serving.admission import AdmissionConfig, AdmissionController
 from repro.serving.cache import ResponseCache
 from repro.serving.store import AnalyticsStore
@@ -109,62 +109,65 @@ def _float_param(params: dict, name: str) -> float:
     return value
 
 
-#: (compiled pattern, metric-label template, handler method name,
-#:  cacheable).  ``/healthz`` and ``/readyz`` bypass the cache: their
-#: bodies carry live telemetry, and probes should never be stale.
-_ROUTES: tuple[tuple[re.Pattern, str, str, bool], ...] = (
-    (re.compile(r"^/healthz$"), "/healthz", "_healthz", False),
-    (re.compile(r"^/readyz$"), "/readyz", "_readyz", False),
+#: (compiled pattern, metric-label template, handler method name).
+#: Every data route's body is cached; probe routes (``_PROBE_METHODS``)
+#: answer before the cache: their bodies carry live telemetry, and
+#: probes should never be stale.
+_ROUTES: tuple[tuple[re.Pattern, str, str], ...] = (
+    (re.compile(r"^/healthz$"), "/healthz", "_healthz"),
+    (re.compile(r"^/readyz$"), "/readyz", "_readyz"),
     (
         re.compile(r"^/debug/requests$"),
         "/debug/requests",
         "_debug_requests",
-        False,
     ),
-    (re.compile(r"^/debug/slo$"), "/debug/slo", "_debug_slo", False),
+    (re.compile(r"^/debug/slo$"), "/debug/slo", "_debug_slo"),
     (
         re.compile(r"^/users/(?P<steamid>\d+)/summary$"),
         "/users/<id>/summary",
         "_user_summary",
-        True,
     ),
     (
         re.compile(r"^/users/(?P<steamid>\d+)/neighborhood$"),
         "/users/<id>/neighborhood",
         "_user_neighborhood",
-        True,
     ),
     (
         re.compile(r"^/apps/(?P<appid>\d+)/stats$"),
         "/apps/<id>/stats",
         "_app_stats",
-        True,
     ),
     (
         re.compile(r"^/distributions/(?P<attr>[A-Za-z0-9_]+)/percentile$"),
         "/distributions/<attr>/percentile",
         "_distribution_percentile",
-        True,
     ),
     (
         re.compile(r"^/distributions/(?P<attr>[A-Za-z0-9_]+)/rank$"),
         "/distributions/<attr>/rank",
         "_distribution_rank",
-        True,
     ),
     (
         re.compile(r"^/tailfit/(?P<attr>[A-Za-z0-9_]+)$"),
         "/tailfit/<attr>",
         "_tailfit",
-        True,
     ),
     (
         re.compile(r"^/homophily/(?P<attr>[A-Za-z0-9_]+)$"),
         "/homophily/<attr>",
         "_homophily",
-        True,
     ),
 )
+
+
+def _route(path: str) -> tuple[str, str | None, re.Match | None]:
+    """``(template, handler method name, match)`` for a request path;
+    ``("<unmatched>", None, None)`` when no route matches."""
+    for pattern, template, method in _ROUTES:
+        match = pattern.match(path)
+        if match:
+            return template, method, match
+    return "<unmatched>", None, None
 
 
 # -- response dependency tags -------------------------------------------------
@@ -353,12 +356,47 @@ class AnalyticsService:
     def route_of(self, path: str) -> str:
         """Collapse an id-bearing path to its route template, keeping
         metric label cardinality bounded by the route table."""
-        for pattern, template, _, _ in _ROUTES:
-            if pattern.match(path):
-                return template
-        return "<unmatched>"
+        return _route(path)[0]
 
-    def dispatch(self, path: str, params: dict) -> dict:
+    def open_record(self, path: str) -> RecordBuilder | None:
+        """Open the request record for one data request: ``None`` for
+        probe and debug routes, or when neither a request log nor an
+        SLO tracker is attached.  The opener passes it to
+        :meth:`dispatch` and hands it to :meth:`commit_record` once."""
+        if self.request_log is None and self.slo is None:
+            return None
+        template, method, _ = _route(path)
+        if method in _PROBE_METHODS:
+            return None
+        return self._open(path, template)
+
+    def _open(self, path: str, template: str) -> RecordBuilder | None:
+        if self.request_log is not None:
+            builder = self.request_log.start(path)
+        elif self.slo is not None:
+            builder = RecordBuilder(self.slo.clock, path)
+        else:
+            return None
+        builder.route = template
+        return builder
+
+    def commit_record(self, builder: RecordBuilder) -> int | None:
+        """The one commit point: the ring and the SLO tracker see the
+        same status and total time.  Returns the record's ``seq``
+        (``None`` with no request log attached)."""
+        seq = None
+        if self.request_log is not None:
+            seq = self.request_log.commit(builder)
+            total = builder.total_s
+        else:
+            total = builder.clock() - builder.start_s
+        if self.slo is not None:
+            self.slo.record(builder.route, builder.status or 0, total)
+        return seq
+
+    def dispatch(
+        self, path: str, params: dict, builder: RecordBuilder | None = None
+    ) -> dict:
         """The handler contract: a JSON-shaped payload, or a typed
         :class:`~repro.steamapi.errors.ApiError`.
 
@@ -370,39 +408,29 @@ class AnalyticsService:
         completion resets it; any other failure releases a held
         half-open probe slot without moving the breaker.
 
-        When a :class:`~repro.obs.reqlog.RequestLog` is attached, every
-        data dispatch — success, shed, crash, abort, blown deadline —
-        produces exactly one canonical record; when an
-        :class:`~repro.obs.slo.SLOTracker` is attached, the same exit
-        status and latency feed the route's error budget.
+        When a :class:`~repro.obs.reqlog.RequestLog` or an
+        :class:`~repro.obs.slo.SLOTracker` is attached, every data
+        dispatch — success, shed, crash, abort, blown deadline — fills
+        in one request record with its exit status.  Without a
+        ``builder`` the record is opened and committed here; a caller
+        that passes one (the HTTP handler, from :meth:`open_record`)
+        commits it itself, after the reply is written.
         """
-        for pattern, template, method, cacheable in _ROUTES:
-            match = pattern.match(path)
-            if match:
-                break
-        else:
-            template, method, match, cacheable = "<unmatched>", None, None, False
+        template, method, match = _route(path)
         if method in _PROBE_METHODS:
             return getattr(self, method)(self._store, match, params)
-        log, slo = self.request_log, self.slo
-        if log is None and slo is None:
+        owned = builder is None
+        if owned:
+            builder = self._open(path, template)
+        if builder is None:
             return self._dispatch_data(
-                path, params, match, template, method, cacheable
+                path, params, match, template, method, None
             )
-        builder = log.start(path) if log is not None else None
-        if builder is not None:
-            builder.route = template
-        start_s = (
-            builder.start_s
-            if builder is not None
-            else slo.clock()  # type: ignore[union-attr]
-        )
         status = 200
         try:
-            with reqlog.building(builder):
-                return self._dispatch_data(
-                    path, params, match, template, method, cacheable
-                )
+            return self._dispatch_data(
+                path, params, match, template, method, builder
+            )
         except AbortedResponse:
             # The wire will say 200 and cut the body; telemetry (and
             # the record) carry the 499 sentinel, like the HTTP layer.
@@ -410,8 +438,7 @@ class AnalyticsService:
             raise
         except OverloadedError as exc:
             status = exc.status
-            if builder is not None:
-                builder.annotate(admission=f"shed:{exc.reason}")
+            builder.admission = f"shed:{exc.reason}"
             raise
         except ApiError as exc:
             status = exc.status
@@ -425,24 +452,12 @@ class AnalyticsService:
             status = 500
             raise
         finally:
-            latency = None
-            if builder is not None:
-                deadline = current_deadline()
-                if deadline is not None:
-                    builder.deadline_remaining_s = deadline.remaining()
-                record = builder.finish(status)
-                # Deferred commits (a wire scope will fold in
-                # serialize/write) still need a latency for the SLO:
-                # the dispatch-side service time.
-                latency = (
-                    record["total_s"]
-                    if record is not None
-                    else builder.clock() - builder.start_s
-                )
-            if slo is not None:
-                if latency is None:
-                    latency = slo.clock() - start_s
-                slo.record(template, status, latency)
+            deadline = current_deadline()
+            if deadline is not None:
+                builder.deadline_remaining_s = deadline.remaining()
+            builder.status = status
+            if owned:
+                self.commit_record(builder)
 
     def _dispatch_data(
         self,
@@ -451,18 +466,20 @@ class AnalyticsService:
         match,
         template: str,
         method: str | None,
-        cacheable: bool,
+        builder: RecordBuilder | None,
     ) -> dict:
         """Admission, deadline, serve, degrade — one data request."""
         if method is None:
             raise NotFoundError(f"no analytics route matches {path!r}")
-        with self.admission.admit(template):
+        with self.admission.admit(template, builder):
             try:
                 check_deadline("dispatch")
-                with reqlog.layer("handler"):
-                    payload = self._serve(
-                        path, params, match, method, cacheable
-                    )
+                args = (path, params, match, method, builder)
+                payload = (
+                    self._serve(*args)
+                    if builder is None
+                    else builder.timed("handler_s", self._serve, *args)
+                )
             except DeadlineExceededError:
                 self.admission.record_timeout(template)
                 raise
@@ -480,25 +497,33 @@ class AnalyticsService:
             payload = {**payload, "degraded": True}
             if self._m_degraded is not None:
                 self._m_degraded.inc()
-            reqlog.annotate(degraded=True)
+            if builder is not None:
+                builder.degraded = True
         return payload
 
     def _serve(
-        self, path: str, params: dict, match, method: str, cacheable: bool
+        self,
+        path: str,
+        params: dict,
+        match,
+        method: str,
+        builder: RecordBuilder | None,
     ) -> dict:
         store = self._store  # one read; immune to concurrent swaps
-        if not cacheable:
-            with reqlog.layer("store"):
-                return getattr(self, method)(store, match, params)
         key = query_key(store.fingerprint, path, params)
-        with reqlog.layer("cache"):
+        if builder is None:
             hit = self.cache.get(key)
+        else:
+            hit = builder.timed("cache_s", self.cache.get, key)
+            builder.cache = "miss" if hit is None else "hit"
         if hit is not None:
-            reqlog.annotate(cache="hit")
             return hit
-        reqlog.annotate(cache="miss")
-        with reqlog.layer("store"):
-            payload = getattr(self, method)(store, match, params)
+        read = getattr(self, method)
+        payload = (
+            read(store, match, params)
+            if builder is None
+            else builder.timed("store_s", read, store, match, params)
+        )
         tag_fn = _ROUTE_TAGS.get(method)
         self.cache.put(
             key,
@@ -633,4 +658,5 @@ def serve_analytics(
         access_log=access_log,
         route_of=service.route_of,
         limits=limits,
+        records=service,
     )

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.faults import FaultPlan, RequestFaults, Spec, draw
-from repro.obs import reqlog
 from repro.serving.api import AnalyticsService
 from repro.steamapi.faults import AbortedResponse
 
@@ -118,13 +117,14 @@ class ChaosDispatch(RequestFaults):
     def __call__(self, path: str, params: dict) -> dict:
         return self.wrap(path, lambda: self.inner(path, params))
 
-    def wrap(self, path: str, inner) -> dict:
+    def wrap(self, path: str, inner, builder=None) -> dict:
         """Run ``inner()`` under this request's fault decision.
 
         The seam that lets :class:`ChaosAnalyticsService` inject
         *inside* admission control (``inner`` closes over the route
         match), while :meth:`__call__` wraps a plain dispatch callable
-        from the outside.
+        from the outside.  ``builder``, the request's record when one
+        is being built, gets the injected fault's kind.
         """
         if path in (
             "/healthz",
@@ -135,10 +135,10 @@ class ChaosDispatch(RequestFaults):
         ):
             return inner()
         kind, spec, aux = self.next_fault(path)
-        if kind is not None:
-            # Tag the ambient request record so a chaos storm's records
-            # say which fault produced each 499/500/504.
-            reqlog.annotate(fault=kind)
+        if kind is not None and builder is not None:
+            # Tag the request record so a chaos storm's records say
+            # which fault produced each 499/500/504.
+            builder.fault = kind
         if kind == "crash":
             raise InjectedCrash(f"injected handler crash on {path}")
         if kind == "stall":
@@ -180,11 +180,12 @@ class ChaosAnalyticsService(AnalyticsService):
             None, plan, obs=kwargs.get("obs"), sleep=sleep
         )
 
-    def _serve(self, path, params, match, method, cacheable):
+    def _serve(self, path, params, match, method, builder):
         serve = super()._serve
         return self.chaos.wrap(
             path,
-            lambda: serve(path, params, match, method, cacheable),
+            lambda: serve(path, params, match, method, builder),
+            builder,
         )
 
 

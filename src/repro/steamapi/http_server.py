@@ -57,7 +57,7 @@ from typing import Callable
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs import Obs
-from repro.obs import reqlog
+from repro.obs.reqlog import RecordBuilder
 from repro.obs.trace_context import TRACE_HEADER, parse_trace_value
 from repro.steamapi.deadline import (
     DEADLINE_HEADER,
@@ -184,6 +184,7 @@ def _make_handler(
     access_log: bool,
     route_of: Callable[[str], str] | None = None,
     limits: HttpLimits | None = None,
+    records=None,
 ):
     limits = limits or HttpLimits()
     m_requests = obs.counter(
@@ -319,12 +320,16 @@ def _make_handler(
                 else nullcontext()
             )
             trace_id = traced[0] if traced is not None else None
-            record = None
+            builder = (
+                records.open_record(parsed.path)
+                if records is not None
+                else None
+            )
+            seq = None
             bytes_out = 0
             serialize_s = write_s = 0.0
             with span_cm as span:
-                wire_span = span.span_id if span is not None else None
-                with reqlog.wire_scope(trace_id, wire_span) as wire:
+                try:
                     try:
                         budget = effective_budget(
                             parse_deadline_value(
@@ -338,7 +343,11 @@ def _make_handler(
                             else None
                         )
                         with deadline_scope(deadline):
-                            payload = dispatch(parsed.path, params)
+                            payload = (
+                                dispatch(parsed.path, params)
+                                if builder is None
+                                else dispatch(parsed.path, params, builder)
+                            )
                         t_serialize = obs.clock()
                         body = json.dumps(payload).encode("utf-8")
                         t_write = obs.clock()
@@ -387,8 +396,8 @@ def _make_handler(
                         # Socket-level failure (client gone mid-write, send
                         # timeout): there is no one to reply to — let the
                         # stdlib request loop tear the connection down.
-                        # (The wire scope's exit still commits any record
-                        # the dispatch underneath built.)
+                        # (The finally below still commits the record,
+                        # with the status dispatch gave it.)
                         raise
                     except Exception:
                         # Anything else escaping dispatch is a server bug:
@@ -415,36 +424,48 @@ def _make_handler(
                         except OSError:
                             # Client is gone; nothing to reply to.
                             self.close_connection = True
-                    # Fold the wire-side truth into the request record
-                    # the dispatch built (if any) and publish it.
-                    record = wire.commit(
-                        status, bytes_out, serialize_s, write_s
-                    )
+                    if builder is not None:
+                        # The wire-side truth: the status actually sent
+                        # (or the 499 sentinel) and the socket timings.
+                        builder.status = status
+                        builder.bytes_out = bytes_out
+                        builder.serialize_s = serialize_s
+                        builder.write_s = write_s
+                finally:
+                    # Exactly one record per opened builder, however
+                    # the exchange ended.
+                    if builder is not None:
+                        builder.trace_id = trace_id
+                        builder.span_id = (
+                            span.span_id if span is not None else None
+                        )
+                        seq = records.commit_record(builder)
                 if span is not None:
                     span.attrs["status"] = status
-            self._account(
-                parsed.path, status, start, record=record, trace_id=trace_id
-            )
+            self._account(parsed.path, status, start, builder, seq, trace_id)
 
         def _account(
             self,
             path: str,
             status: int,
             start: float,
-            record: dict | None = None,
+            builder: RecordBuilder | None = None,
+            seq: int | None = None,
             trace_id: str | None = None,
         ) -> None:
             # Metric labels use the route template when the dispatcher
             # provides one (id-bearing raw paths would explode label
-            # cardinality); the access log keeps the raw path.
-            label = route_of(path) if route_of is not None else path
+            # cardinality); the access log keeps the raw path.  A
+            # request record already carries its template.
+            if builder is not None:
+                label = builder.route
+            else:
+                label = route_of(path) if route_of is not None else path
             m_requests.inc(path=label, status=status)
+            # The exemplar points at the committed record in the ring.
             exemplar = (
-                {
-                    "trace_id": record["trace_id"],
-                    "seq": str(record["seq"]),
-                }
-                if record is not None
+                {"trace_id": trace_id or "-", "seq": str(seq)}
+                if seq is not None
                 else None
             )
             m_latency.observe(
@@ -564,6 +585,7 @@ def serve_dispatch(
     route_of: Callable[[str], str] | None = None,
     faults: FaultInjectingTransport | None = None,
     limits: HttpLimits | None = None,
+    records=None,
 ) -> ApiHttpServer:
     """Serve any ``dispatch(path, params) -> dict`` callable over HTTP.
 
@@ -575,12 +597,18 @@ def serve_dispatch(
     slow-client socket timeouts and a default request deadline (see
     :class:`HttpLimits` — the default keeps the historical
     no-timeout behavior for embedded test servers).
+
+    ``records`` is the request-record hook of the analytics service
+    (:meth:`~repro.serving.api.AnalyticsService.open_record` and
+    ``commit_record``): a request it opens a record for is dispatched
+    as ``dispatch(path, params, builder)``, and the handler commits
+    that record once the reply is written.
     """
     if obs is None:
         obs = Obs()
     server = DrainingThreadingHTTPServer(
         (host, port),
-        _make_handler(dispatch, obs, access_log, route_of, limits),
+        _make_handler(dispatch, obs, access_log, route_of, limits, records),
     )
     thread = threading.Thread(
         target=server.serve_forever, args=(_SHUTDOWN_POLL_S,), daemon=True

@@ -1,91 +1,18 @@
-"""Typed views of the JSON payloads the API returns.
+"""Typed view of the storefront payload, plus the group id base.
 
 The service itself speaks plain JSON-shaped dicts (like the real Steam
-Web API); these records are the crawler-side parse targets.
+Web API); :class:`AppDetails` is the crawler-side parse target for
+``appdetails`` responses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = [
-    "PlayerSummary",
-    "FriendRecord",
-    "OwnedGame",
-    "GroupRecord",
-    "AppDetails",
-    "AchievementPercent",
-    "GROUP_ID_BASE",
-]
+__all__ = ["AppDetails", "GROUP_ID_BASE"]
 
 #: Offset added to dense group indices to form Steam-style group ids.
 GROUP_ID_BASE = 103582791429521408
-
-
-@dataclass(frozen=True)
-class PlayerSummary:
-    """One entry of a GetPlayerSummaries response."""
-
-    steamid: int
-    time_created: int
-    country: str | None
-    city_id: int | None
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PlayerSummary":
-        return cls(
-            steamid=int(data["steamid"]),
-            time_created=int(data["timecreated"]),
-            country=data.get("loccountrycode"),
-            city_id=data.get("loccityid"),
-        )
-
-
-@dataclass(frozen=True)
-class FriendRecord:
-    """One entry of a GetFriendList response."""
-
-    steamid: int
-    friend_since: int
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FriendRecord":
-        return cls(
-            steamid=int(data["steamid"]),
-            friend_since=int(data.get("friend_since", 0)),
-        )
-
-
-@dataclass(frozen=True)
-class OwnedGame:
-    """One entry of a GetOwnedGames response."""
-
-    appid: int
-    playtime_forever: int
-    playtime_2weeks: int
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OwnedGame":
-        return cls(
-            appid=int(data["appid"]),
-            playtime_forever=int(data.get("playtime_forever", 0)),
-            playtime_2weeks=int(data.get("playtime_2weeks", 0)),
-        )
-
-
-@dataclass(frozen=True)
-class GroupRecord:
-    """One entry of a GetUserGroupList response."""
-
-    gid: int
-
-    @property
-    def index(self) -> int:
-        return self.gid - GROUP_ID_BASE
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GroupRecord":
-        return cls(gid=int(data["gid"]))
 
 
 @dataclass(frozen=True)
@@ -116,14 +43,3 @@ class AppDetails:
             release_day=int(body.get("release_date", {}).get("day_index", -1)),
         )
 
-
-@dataclass(frozen=True)
-class AchievementPercent:
-    """One entry of GetGlobalAchievementPercentagesForApp."""
-
-    name: str
-    percent: float
-
-    @classmethod
-    def from_json(cls, data: dict) -> "AchievementPercent":
-        return cls(name=data["name"], percent=float(data["percent"]))

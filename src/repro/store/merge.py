@@ -1,18 +1,12 @@
-"""Merging datasets: sharded full crawls and per-user delta batches.
+"""Merging refetched users into a dataset (DESIGN.md §12).
 
-A months-long crawl (the paper's phase 2 spanned May-November 2013) is in
-practice collected in shards — by ID range, by worker, or by restart
-epoch.  :func:`merge_datasets` combines datasets whose account sets are
-disjoint into one, re-indexing every user-keyed relation; the shards must
-share a catalog (the storefront snapshot is global).
-
-:func:`apply_user_delta` is the incremental counterpart (DESIGN.md §12):
-given a prior dataset and a :class:`UserDeltaBatch` of refetched users,
-it replaces exactly those users' rows — accounts, friendships,
-libraries, memberships — and appends the new ones, preserving the prior
-tables' dtypes and per-user entry ordering so the result is
-byte-identical to what a from-scratch full crawl of the evolved world
-would assemble.
+The incremental path re-crawls only the users a world delta touched.
+:func:`apply_user_delta` takes a prior dataset and a
+:class:`UserDeltaBatch` of those users' refetched rows, replaces
+exactly those users' rows — accounts, friendships, libraries,
+memberships — and appends the new ones, preserving the prior tables'
+dtypes and per-user entry ordering so the result is byte-identical to
+what a from-scratch full crawl of the evolved world would assemble.
 """
 
 from __future__ import annotations
@@ -31,176 +25,7 @@ from repro.store.tables import (
     Snapshot2Table,
 )
 
-__all__ = ["merge_datasets", "UserDeltaBatch", "apply_user_delta"]
-
-
-def _check_catalogs_match(shards: list[SteamDataset]) -> None:
-    first = shards[0].catalog
-    for other in shards[1:]:
-        if not np.array_equal(other.catalog.appid, first.appid):
-            raise ValueError("shards must share the same catalog")
-        if other.catalog.genre_names != first.genre_names:
-            raise ValueError("shards must share the same genre labels")
-
-
-def merge_datasets(shards: list[SteamDataset]) -> SteamDataset:
-    """Merge account-disjoint shards into one dataset.
-
-    Users are re-indexed in ascending SteamID order.  Friendships whose
-    far endpoint lives in another shard are kept once (they appear in the
-    shard that crawled their lower-ID endpoint) when resolvable, and
-    dropped when the endpoint is in no shard.  Group indices are assumed
-    global (gid-derived), as the crawler produces them.
-    """
-    if not shards:
-        raise ValueError("need at least one shard")
-    if len(shards) == 1:
-        return shards[0]
-    _check_catalogs_match(shards)
-
-    # ---- accounts, re-indexed by ascending ID offset ----------------------
-    offsets = np.concatenate([s.accounts.id_offset for s in shards])
-    if len(np.unique(offsets)) != len(offsets):
-        raise ValueError("shards overlap in account IDs")
-    order = np.argsort(offsets)
-    n_users = len(offsets)
-
-    # Old (shard, local-index) -> new global index.
-    shard_of = np.concatenate(
-        [np.full(s.n_users, i) for i, s in enumerate(shards)]
-    )
-    new_index = np.empty(n_users, dtype=np.int64)
-    new_index[order] = np.arange(n_users)
-
-    shard_base = np.cumsum([0] + [s.n_users for s in shards[:-1]])
-
-    def remap(shard_idx: int, local: np.ndarray) -> np.ndarray:
-        return new_index[shard_base[shard_idx] + local]
-
-    # Country names may differ per shard (frequency-ordered): rebuild.
-    name_union: dict[str, None] = {}
-    for shard in shards:
-        for name in shard.accounts.country_names:
-            name_union.setdefault(name, None)
-    names = tuple(name_union)
-    name_index = {name: i for i, name in enumerate(names)}
-
-    country = np.full(n_users, -1, dtype=np.int16)
-    city = np.full(n_users, -1, dtype=np.int32)
-    created = np.empty(n_users, dtype=np.int32)
-    for i, shard in enumerate(shards):
-        dest = remap(i, np.arange(shard.n_users))
-        created[dest] = shard.accounts.created_day
-        city[dest] = shard.accounts.city
-        reported = shard.accounts.country >= 0
-        mapped = np.array(
-            [
-                name_index[shard.accounts.country_names[c]]
-                for c in shard.accounts.country[reported]
-            ],
-            dtype=np.int16,
-        )
-        country[dest[reported]] = mapped
-    accounts = AccountTable(
-        id_offset=offsets[order],
-        created_day=created,
-        country=country,
-        city=city,
-        country_names=names,
-    )
-
-    # ---- friendships -------------------------------------------------------
-    parts_u, parts_v, parts_day = [], [], []
-    for i, shard in enumerate(shards):
-        parts_u.append(remap(i, shard.friends.u.astype(np.int64)))
-        parts_v.append(remap(i, shard.friends.v.astype(np.int64)))
-        parts_day.append(shard.friends.day)
-    u = np.concatenate(parts_u)
-    v = np.concatenate(parts_v)
-    day = np.concatenate(parts_day)
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    keys = lo * np.int64(n_users) + hi
-    _, first = np.unique(keys, return_index=True)
-    edge_order = first[np.argsort(keys[first], kind="stable")]
-    friends = FriendTable(
-        u=lo[edge_order].astype(np.int32),
-        v=hi[edge_order].astype(np.int32),
-        day=day[edge_order],
-        n_users=n_users,
-    )
-
-    # ---- libraries ----------------------------------------------------------
-    lib_user_parts, lib_game_parts, lib_total_parts, lib_tw_parts = (
-        [],
-        [],
-        [],
-        [],
-    )
-    for i, shard in enumerate(shards):
-        lib = shard.library
-        entry_user = lib.owned.row_ids()
-        lib_user_parts.append(remap(i, entry_user))
-        lib_game_parts.append(lib.owned.indices)
-        lib_total_parts.append(lib.total_min)
-        lib_tw_parts.append(lib.twoweek_min)
-    owned, perm = CSRMatrix.from_pairs(
-        np.concatenate(lib_user_parts),
-        np.concatenate(lib_game_parts),
-        n_users,
-    )
-    library = LibraryTable(
-        owned=owned,
-        total_min=np.concatenate(lib_total_parts)[perm],
-        twoweek_min=np.concatenate(lib_tw_parts)[perm],
-    )
-
-    # ---- groups (gid-indexed globally) --------------------------------------
-    n_groups = max(s.groups.n_groups for s in shards)
-    member_group_parts, member_user_parts = [], []
-    group_type = np.full(n_groups, -1, dtype=np.int8)
-    focus = np.full(n_groups, -1, dtype=np.int32)
-    for i, shard in enumerate(shards):
-        members = shard.groups.members
-        member_group_parts.append(members.row_ids())
-        member_user_parts.append(
-            remap(i, members.indices.astype(np.int64))
-        )
-        span = shard.groups.n_groups
-        known = shard.groups.group_type >= 0
-        group_type[:span][known] = shard.groups.group_type[known]
-        has_focus = shard.groups.focus_game >= 0
-        focus[:span][has_focus] = shard.groups.focus_game[has_focus]
-    group_type[group_type < 0] = 4  # SPECIAL_INTEREST default
-    members, _ = CSRMatrix.from_pairs(
-        np.concatenate(member_group_parts),
-        np.concatenate(member_user_parts).astype(np.int32),
-        n_groups,
-    )
-    groups = GroupTable(
-        group_type=group_type,
-        focus_game=focus,
-        members=members,
-        n_users=n_users,
-    )
-
-    return SteamDataset(
-        accounts=accounts,
-        friends=friends,
-        groups=groups,
-        catalog=shards[0].catalog,
-        library=library,
-        achievements=shards[0].achievements,
-        snapshot2=None,
-        meta=DatasetMeta(
-            scale_note=f"merged from {len(shards)} shards",
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Per-user delta merge (DESIGN.md §12)
-# ---------------------------------------------------------------------------
+__all__ = ["UserDeltaBatch", "apply_user_delta"]
 
 
 @dataclass

@@ -103,8 +103,9 @@ class TestChaosCrawl:
                 return self.inner.request(path, params)
 
         checkpoint_path = tmp_path / "crawl.json"
-        # The profile sweep takes ~7k requests for this world; 12_000
-        # lands the outage squarely inside the detail phase.
+        # For this world the profile sweep takes 162 requests and the
+        # storefront 6,157, so 12_000 lands the outage inside the
+        # detail phase.
         dying = KillSwitch(InProcessTransport(service), fuse=12_000)
         with pytest.raises(RetriesExhausted):
             run_full_crawl(

@@ -10,35 +10,37 @@ from repro.fsutil import LineSink
 from repro.obs.clock import FakeClock
 from repro.obs.reqlog import (
     LAYERS,
+    RecordBuilder,
     RequestLog,
-    annotate,
-    building,
-    current_builder,
     encode_record,
-    layer,
     read_jsonl,
-    wire_scope,
 )
+
+
+def _commit(log: RequestLog, builder: RecordBuilder, status: int) -> dict:
+    """Commit ``builder`` with ``status``; returns the record."""
+    builder.status = status
+    log.commit(builder)
+    return builder.as_record()
 
 
 def test_record_has_all_layers_and_canonical_fields():
     log = RequestLog(clock=FakeClock(tick=0.001))
     builder = log.start("/users/1/summary")
     builder.route = "/users/<id>/summary"
-    record = builder.finish(200)
+    record = _commit(log, builder, 200)
     assert set(record["layers"]) == set(LAYERS)
     assert record["status"] == 200
     assert record["seq"] == 0
     assert record["trace_id"] == "-"
     assert record["path"] == "/users/1/summary"
-    # finish() is the commit: re-committing returns the same dict.
-    assert log.commit(builder) is record
+    assert log.records() == [record]
 
 
 def test_ring_is_bounded_and_counts_drops():
     log = RequestLog(capacity=3, clock=FakeClock(tick=0.001))
     for i in range(10):
-        log.start(f"/p/{i}").finish(200)
+        _commit(log, log.start(f"/p/{i}"), 200)
     records = log.records()
     assert len(records) == 3
     assert [r["path"] for r in records] == ["/p/7", "/p/8", "/p/9"]
@@ -59,7 +61,7 @@ def test_tail_filters_by_route_status_and_latency():
         builder = log.start(route)
         builder.route = route
         clock.advance(seconds)
-        builder.finish(status)
+        _commit(log, builder, status)
     assert len(log.tail(10)) == 4
     assert [r["status"] for r in log.tail(10, route="/a")] == [200, 429, 200]
     assert [r["route"] for r in log.tail(10, status=429)] == ["/a"]
@@ -71,49 +73,56 @@ def test_tail_filters_by_route_status_and_latency():
     assert len(log.tail(1, route="/a")) == 1
 
 
-def test_layer_and_annotate_are_noops_outside_a_request():
-    # Must not raise and must not record anything.
-    with layer("handler"):
-        pass
-    annotate(cache="hit")
-    assert current_builder() is None
-
-
-def test_layer_times_into_the_ambient_builder():
+def test_timed_adds_layer_time_to_the_builder():
     clock = FakeClock()
     log = RequestLog(clock=clock)
     builder = log.start("/x")
-    with building(builder):
-        with layer("handler"):
-            clock.advance(0.25)
-            with layer("store"):
-                clock.advance(0.1)
-    record = builder.finish(200)
+
+    def store():
+        clock.advance(0.1)
+
+    def handler():
+        clock.advance(0.25)
+        builder.timed("store_s", store)
+
+    builder.timed("handler_s", handler)
+    record = _commit(log, builder, 200)
     assert record["layers"]["handler"] == pytest.approx(0.35)
     assert record["layers"]["store"] == pytest.approx(0.1)
     assert record["layers"]["cache"] == 0.0
 
 
+def test_timed_keeps_the_time_of_a_raising_layer():
+    clock = FakeClock()
+    builder = RequestLog(clock=clock).start("/x")
+
+    def crash():
+        clock.advance(0.5)
+        raise RuntimeError("handler bug")
+
+    with pytest.raises(RuntimeError):
+        builder.timed("handler_s", crash)
+    assert builder.handler_s == pytest.approx(0.5)
+
+
 def test_annotate_rejects_unknown_fields():
-    log = RequestLog(clock=FakeClock())
-    with building(log.start("/x")):
-        with pytest.raises(AttributeError):
-            annotate(nonsense=True)
-        with pytest.raises(AttributeError):
-            annotate(layers={})  # structural slots are not annotatable
+    builder = RequestLog(clock=FakeClock()).start("/x")
+    with pytest.raises(AttributeError):
+        builder.nonsense = True
+    with pytest.raises(AttributeError):
+        builder.layers = {}  # layer times live in fixed slots
 
 
-def test_wire_scope_defers_commit_and_folds_wire_facts():
+def test_wire_facts_land_in_the_record():
     clock = FakeClock()
     log = RequestLog(clock=clock)
-    with wire_scope(trace_id="cafe01", span_id=7) as wire:
-        builder = log.start("/x")
-        # Dispatch-side finish defers: nothing committed yet.
-        assert builder.finish(200) is None
-        assert not builder.committed
-        record = wire.commit(
-            499, bytes_out=42, serialize_seconds=0.01, write_seconds=0.02
-        )
+    builder = log.start("/x")
+    builder.bytes_out = 42
+    builder.serialize_s = 0.01
+    builder.write_s = 0.02
+    builder.trace_id = "cafe01"
+    builder.span_id = 7
+    record = _commit(log, builder, 499)
     assert record["status"] == 499
     assert record["bytes_out"] == 42
     assert record["trace_id"] == "cafe01"
@@ -121,24 +130,6 @@ def test_wire_scope_defers_commit_and_folds_wire_facts():
     assert record["layers"]["serialize"] == pytest.approx(0.01)
     assert record["layers"]["write"] == pytest.approx(0.02)
     assert log.records() == [record]
-
-
-def test_wire_scope_exit_commits_abandoned_builders():
-    # A socket error can escape between dispatch and the explicit
-    # commit; the scope's exit must still publish exactly one record.
-    log = RequestLog(clock=FakeClock())
-    with pytest.raises(OSError):
-        with wire_scope():
-            builder = log.start("/x")
-            builder.finish(200)
-            raise OSError("client went away")
-    assert len(log.records()) == 1
-    assert log.records()[0]["status"] == 200
-
-
-def test_wire_commit_without_builder_returns_none():
-    with wire_scope() as wire:
-        assert wire.commit(200) is None
 
 
 def test_same_sequence_encodes_byte_identically():
@@ -149,11 +140,10 @@ def test_same_sequence_encodes_byte_identically():
         for i in range(5):
             builder = log.start(f"/p/{i % 2}")
             builder.route = "/p/<id>"
-            with building(builder):
-                with layer("handler"):
-                    clock.advance(0.01 * i)
-                annotate(cache="hit" if i % 2 else "miss")
-            lines.append(encode_record(builder.finish(200 if i else 429)))
+            builder.timed("handler_s", clock.advance, 0.01 * i)
+            builder.cache = "hit" if i % 2 else "miss"
+            record = _commit(log, builder, 200 if i else 429)
+            lines.append(encode_record(record))
         return b"\n".join(lines)
 
     assert run() == run()
@@ -165,7 +155,7 @@ def test_jsonl_sink_appends_every_record(tmp_path):
         capacity=2, clock=FakeClock(tick=0.001), jsonl_path=path
     )
     for i in range(5):
-        log.start(f"/p/{i}").finish(200)
+        _commit(log, log.start(f"/p/{i}"), 200)
     log.close()
     # The ring dropped 3; the sink saw all 5.
     records = list(read_jsonl(path))

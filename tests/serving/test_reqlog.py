@@ -257,6 +257,41 @@ class TestDebugEndpoints:
         assert len(payload["requests"]) == 3
 
 
+class TestWireRecords:
+    """The HTTP handler owns the record it opens: one commit, however
+    the exchange ends."""
+
+    @pytest.mark.parametrize(
+        "path, status",
+        [("/tailfit/friends", 200), ("/tailfit/not_an_attribute", 404)],
+    )
+    def test_failed_reply_write_still_commits_one_record(
+        self, serving_store, monkeypatch, path, status
+    ):
+        service = _logged_service(serving_store)
+        with serve_analytics(service) as server:
+            handler = server.server.RequestHandlerClass
+
+            def broken_reply(self, *args, **kwargs):
+                raise BrokenPipeError("client went away mid-write")
+
+            monkeypatch.setattr(handler, "_reply", broken_reply)
+            # The escaping OSError ends the connection; the stdlib
+            # reports it on stderr, which is expected here.
+            monkeypatch.setattr(
+                server.server, "handle_error", lambda *args: None
+            )
+            with pytest.raises(OSError):
+                urllib.request.urlopen(server.base_url + path, timeout=10)
+        # The server has drained: the handler's commit has run.
+        (record,) = service.request_log.records()
+        assert record["status"] == status  # the dispatch's status
+        assert record["route"] == "/tailfit/<attr>"
+        assert record["bytes_out"] == 0
+        routes = service.slo.snapshot()["routes"]
+        assert routes["/tailfit/<attr>"]["good"] == 1
+
+
 class TestStormRecords:
     """The headline guarantee over real sockets: record counts match
     the wire exactly, under chaos."""

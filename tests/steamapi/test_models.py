@@ -1,42 +1,9 @@
 """JSON payload parsing."""
 
-from repro.steamapi.models import (
-    AchievementPercent,
-    AppDetails,
-    FriendRecord,
-    GroupRecord,
-    GROUP_ID_BASE,
-    OwnedGame,
-    PlayerSummary,
-)
+from repro.steamapi.models import AppDetails
 
 
 class TestParsers:
-    def test_player_summary(self):
-        summary = PlayerSummary.from_json(
-            {
-                "steamid": "76561197960265729",
-                "timecreated": 1066003200,
-                "loccountrycode": "United States",
-            }
-        )
-        assert summary.steamid == 76561197960265729
-        assert summary.country == "United States"
-        assert summary.city_id is None
-
-    def test_friend_record_defaults(self):
-        record = FriendRecord.from_json({"steamid": "76561197960265730"})
-        assert record.friend_since == 0
-
-    def test_owned_game_defaults(self):
-        game = OwnedGame.from_json({"appid": 440})
-        assert game.playtime_forever == 0
-        assert game.playtime_2weeks == 0
-
-    def test_group_record_index(self):
-        record = GroupRecord.from_json({"gid": GROUP_ID_BASE + 17})
-        assert record.index == 17
-
     def test_app_details(self):
         details = AppDetails.from_json(
             440,
@@ -77,8 +44,3 @@ class TestParsers:
         assert not details.multiplayer
         assert details.genres == ()
 
-    def test_achievement_percent(self):
-        entry = AchievementPercent.from_json(
-            {"name": "ACH_0", "percent": 52.5}
-        )
-        assert entry.percent == 52.5
