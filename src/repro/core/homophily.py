@@ -9,17 +9,20 @@ market-value case, rho = 0.77).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import constants
 from repro.core.spearman import spearman, strength_label
+from repro.engine import Stage, StageContext
 from repro.store.dataset import SteamDataset
 
 __all__ = [
     "HOMOPHILY_ATTRIBUTES",
     "CROSS_PAIRS",
+    "correlation_columns",
     "neighbor_mean",
     "CorrelationPart",
     "CorrelationSet",
@@ -30,6 +33,7 @@ __all__ = [
     "homophily_attribute",
     "homophily",
     "merge_homophily",
+    "homophily_stages",
 ]
 
 #: Cache-invalidation handle for the engine (see DESIGN.md §8).
@@ -54,6 +58,24 @@ CROSS_PAIRS = (
     ("friends", "twoweek_playtime", True),
     ("friends", "total_playtime", False),
 )
+
+#: Dataset columns behind each correlation attribute (``friend_counts``
+#: reads the edge endpoints, never ``fr.day``).
+_ATTRIBUTE_COLUMNS = {
+    "market_value": ("lib.indptr", "lib.indices", "cat.price_cents"),
+    "friends": ("fr.u", "fr.v"),
+    "total_playtime": ("lib.indptr", "lib.total_min"),
+    "twoweek_playtime": ("lib.indptr", "lib.twoweek_min"),
+    "owned_games": ("lib.indptr",),
+}
+
+
+def correlation_columns(*names: str) -> tuple[str, ...]:
+    """The dataset columns a correlation over ``names`` reads, in
+    first-seen order (an engine stage's ``columns`` declaration)."""
+    return tuple(
+        dict.fromkeys(c for name in names for c in _ATTRIBUTE_COLUMNS[name])
+    )
 
 
 def _attribute_values(dataset: SteamDataset, name: str) -> np.ndarray:
@@ -268,3 +290,45 @@ def homophily(
             for name in HOMOPHILY_ATTRIBUTES
         ]
     )
+
+
+def _stage_attribute(ctx: StageContext, attr: str) -> CorrelationPart:
+    return homophily_attribute(ctx.dataset, attr)
+
+
+def _stage_merge(
+    ctx: StageContext, attrs: tuple[str, ...]
+) -> HomophilyResult:
+    return merge_homophily([ctx.dep(f"fig11:{attr}") for attr in attrs])
+
+
+def homophily_stages() -> list[Stage]:
+    """Figure 11 as engine stages: one ``fig11:<attr>`` shard per
+    :data:`HOMOPHILY_ATTRIBUTES` entry, each keyed on just its own
+    columns plus the friend edges (every shard averages over friends),
+    and the ``fig11_homophily`` merge, which reads only its deps.  The
+    same stages in any graph have the same cache keys."""
+    this = sys.modules[__name__]
+    stages = [
+        Stage(
+            name=f"fig11:{attr}",
+            fn=_stage_attribute,
+            params=(("attr", attr),),
+            modules=(this,),
+            version=STAGE_VERSION,
+            columns=correlation_columns("friends", attr),
+        )
+        for attr in HOMOPHILY_ATTRIBUTES
+    ]
+    stages.append(
+        Stage(
+            name="fig11_homophily",
+            fn=_stage_merge,
+            params=(("attrs", HOMOPHILY_ATTRIBUTES),),
+            deps=tuple(f"fig11:{attr}" for attr in HOMOPHILY_ATTRIBUTES),
+            modules=(this,),
+            version=STAGE_VERSION,
+            columns=(),  # reads only its deps; their keys are folded
+        )
+    )
+    return stages

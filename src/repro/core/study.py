@@ -134,16 +134,6 @@ def _stage_fig10(ctx):
     return mp_mod.multiplayer_share(ctx.dataset)
 
 
-def _stage_fig11_attr(ctx, attr):
-    return homo_mod.homophily_attribute(ctx.dataset, attr)
-
-
-def _stage_fig11_merge(ctx, attrs):
-    return homo_mod.merge_homophily(
-        [ctx.dep(f"fig11:{attr}") for attr in attrs]
-    )
-
-
 def _stage_sec7_pair(ctx, name_a, name_b):
     return homo_mod.cross_correlation_pair(ctx.dataset, name_a, name_b)
 
@@ -177,38 +167,6 @@ def _stage_table4_merge(ctx, rows):
 
 def _versioned(module) -> str:
     return getattr(module, "STAGE_VERSION", "1")
-
-
-# Columns per sharded correlation attribute (fig11:<attr> shards read
-# the attribute's own column(s) plus the friend edges for the
-# neighbor average; sec7:<pair> shards read both attributes' columns).
-_CORR_ATTR_COLUMNS = {
-    "market_value": ("lib.indptr", "lib.indices", "cat.price_cents"),
-    "friends": (),  # friend_counts comes from fr.u/fr.v, added below
-    "total_playtime": ("lib.indptr", "lib.total_min"),
-    "twoweek_playtime": ("lib.indptr", "lib.twoweek_min"),
-    "owned_games": ("lib.indptr",),
-}
-
-#: friend_counts() reads the edge endpoints (never fr.day).
-_FRIEND_COLUMNS = ("fr.u", "fr.v")
-
-
-def _fig11_attr_columns(attr: str) -> tuple[str, ...]:
-    # Every homophily shard touches the graph via neighbor_mean.
-    return _FRIEND_COLUMNS + _CORR_ATTR_COLUMNS[attr]
-
-
-def _sec7_pair_columns(name_a: str, name_b: str) -> tuple[str, ...]:
-    columns: list[str] = []
-    for name in (name_a, name_b):
-        attr_columns = _CORR_ATTR_COLUMNS[name]
-        if name == "friends":
-            attr_columns = _FRIEND_COLUMNS
-        for column in attr_columns:
-            if column not in columns:
-                columns.append(column)
-    return tuple(columns)
 
 
 def build_study_graph(
@@ -333,31 +291,8 @@ def build_study_graph(
     # same pattern as Table 4's per-row shards: narrow column
     # declarations make the shards independently cacheable, and the
     # merge stage (which reads only its deps) restores render order.
-    for attr in homo_mod.HOMOPHILY_ATTRIBUTES:
-        stages.append(
-            Stage(
-                name=f"fig11:{attr}",
-                fn=_stage_fig11_attr,
-                params=(("attr", attr),),
-                modules=(homo_mod,),
-                version=_versioned(homo_mod),
-                columns=_fig11_attr_columns(attr),
-            )
-        )
-    stages.append(
-        Stage(
-            name="fig11_homophily",
-            fn=_stage_fig11_merge,
-            params=(("attrs", homo_mod.HOMOPHILY_ATTRIBUTES),),
-            deps=tuple(
-                f"fig11:{attr}"
-                for attr in homo_mod.HOMOPHILY_ATTRIBUTES
-            ),
-            modules=(homo_mod,),
-            version=_versioned(homo_mod),
-            columns=(),  # reads only its deps; their keys are folded
-        )
-    )
+    # The store builds Figure 11's stages from the same factory.
+    stages.extend(homo_mod.homophily_stages())
     sec7_pairs = tuple((a, b) for a, b, _ in homo_mod.CROSS_PAIRS)
     for name_a, name_b in sec7_pairs:
         stages.append(
@@ -367,7 +302,7 @@ def build_study_graph(
                 params=(("name_a", name_a), ("name_b", name_b)),
                 modules=(homo_mod,),
                 version=_versioned(homo_mod),
-                columns=_sec7_pair_columns(name_a, name_b),
+                columns=homo_mod.correlation_columns(name_a, name_b),
             )
         )
     stages.append(

@@ -31,7 +31,6 @@ __all__ = [
     "source_hash",
     "select_column_fingerprints",
     "stage_key",
-    "query_key",
     "ENGINE_SCHEMA",
 ]
 
@@ -171,23 +170,5 @@ def stage_key(
     }
     if dep_keys:
         payload["deps"] = {k: dep_keys[k] for k in sorted(dep_keys)}
-    blob = json.dumps(payload, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def query_key(dataset_fingerprint: str, path: str, params: dict) -> str:
-    """The content address of one read-path query.
-
-    The serving tier's response cache keys on this: the same request
-    path and parameters against the same dataset state always hash to
-    the same key, and *any* dataset change (a new fingerprint) shifts
-    every key — so stale responses can never be served, only missed.
-    """
-    payload = {
-        "schema": ENGINE_SCHEMA,
-        "dataset": dataset_fingerprint,
-        "path": path,
-        "params": {str(k): params[k] for k in sorted(params, key=str)},
-    }
     blob = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -21,17 +21,18 @@ Routes::
     GET /homophily/<attr>
 
 Every cacheable response is memoized in a
-:class:`~repro.serving.cache.ResponseCache` keyed by
-:func:`~repro.engine.fingerprint.query_key` — the dataset fingerprint
-is folded into every key, so swapping in a store built from a mutated
-dataset invalidates the whole cache structurally.
+:class:`~repro.serving.cache.ResponseCache` keyed by request (path and
+sorted parameters).  The cache is invalidated in one place, the store
+swap: ``swap_store`` moves the cache to the new store's fingerprint
+before publishing the store, and a body read from a retired store is
+dropped at ``put``.
 
-Entries additionally carry dependency tags (which user, which app,
-which attributes the body read), so ``swap_store`` with a
-:class:`~repro.delta.model.DatasetDelta` performs *targeted*
-invalidation: only entries touching the delta's changed users, apps,
-or attribute columns are evicted, and every other entry is re-keyed
-under the new fingerprint and keeps serving hits (DESIGN.md §12).
+Entries carry dependency tags (which user, which app, which attributes
+the body read), so ``swap_store`` with a
+:class:`~repro.delta.model.DatasetDelta` linking the two stores
+evicts only entries touching the delta's changed users, apps, or
+attribute columns; every other entry keeps serving hits (DESIGN.md
+§12).  A swap without such a delta empties the cache.
 
 Overload protection (DESIGN.md §14): every data route passes through
 an :class:`~repro.serving.admission.AdmissionController` — a bounded
@@ -54,7 +55,6 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from repro.core.percentiles import ATTRIBUTES
-from repro.engine.fingerprint import query_key
 from repro.obs import Obs, RequestLog, SLOTracker
 from repro.obs.reqlog import RecordBuilder
 from repro.serving.admission import AdmissionConfig, AdmissionController
@@ -264,7 +264,9 @@ class AnalyticsService:
         #: Error-budget accounting per route template, fed on every
         #: data-dispatch exit path.
         self.slo = slo
-        self.cache = ResponseCache(maxsize=cache_size, obs=obs)
+        self.cache = ResponseCache(
+            store.fingerprint, maxsize=cache_size, obs=obs
+        )
         if admission is None:
             admission = AdmissionConfig(
                 max_inflight=_DEFAULT_EMBEDDED_INFLIGHT
@@ -318,38 +320,31 @@ class AnalyticsService:
         """Atomically replace the read model (e.g. after a dataset
         reload).
 
-        Without a ``delta``, old cache entries die structurally: every
-        key embeds the old fingerprint, so they can only miss.  With a
+        The cache moves first, the store is published second.  With a
         :class:`~repro.delta.model.DatasetDelta` connecting the old
-        store to the new one, the cache is *retargeted* instead —
-        entries tagged with the delta's changed users/apps/attributes
-        are evicted, everything else is re-keyed under the new
-        fingerprint and keeps serving hits.  Returns the retarget
-        stats, or ``None`` when the delta does not link the two
-        fingerprints (falls back to structural invalidation).
+        store to the new one, entries tagged with the delta's changed
+        users/apps/attributes are evicted and everything else stays,
+        serving hits; the retarget stats are returned.  Without a
+        delta, or with one that does not link the two fingerprints,
+        the cache is emptied and ``None`` is returned.
 
         Readers never block on a swap: dispatch snapshots the store
         reference once, so in-flight requests finish against the old
         store (stale-while-swap) and responses served inside the swap
-        window carry ``"degraded": true``.
+        window carry ``"degraded": true``.  A body one of them reads
+        from the old store after the cache has moved is not cached.
         """
         with self.degraded_mode(), self._swap_lock:
-            prior = self._store
-            self._store = store
-            if delta is None:
-                return None
-            if (
-                delta.prior_fingerprint != prior.fingerprint
-                or delta.fingerprint != store.fingerprint
-            ):
-                # Not the swap this delta describes: trust nothing.
-                return None
-            return self.cache.retarget(
-                delta.stale_tags(),
-                lambda path, params: query_key(
-                    store.fingerprint, path, params
-                ),
+            linked = (
+                delta is not None
+                and delta.prior_fingerprint == self._store.fingerprint
+                and delta.fingerprint == store.fingerprint
             )
+            stats = self.cache.retarget(
+                store.fingerprint, delta.stale_tags() if linked else None
+            )
+            self._store = store
+            return stats if linked else None
 
     # -- http_server integration ---------------------------------------------
 
@@ -510,7 +505,7 @@ class AnalyticsService:
         builder: RecordBuilder | None,
     ) -> dict:
         store = self._store  # one read; immune to concurrent swaps
-        key = query_key(store.fingerprint, path, params)
+        key = (path, tuple(sorted(params.items())))
         if builder is None:
             hit = self.cache.get(key)
         else:
@@ -528,9 +523,8 @@ class AnalyticsService:
         self.cache.put(
             key,
             payload,
+            store.fingerprint,
             tags=tag_fn(match, payload) if tag_fn else None,
-            path=path,
-            params=params,
         )
         return payload
 

@@ -1,21 +1,24 @@
-"""Fingerprint-keyed LRU response cache for the analytics serving tier.
+"""Request-keyed LRU response cache for the analytics serving tier.
 
-Keys are produced by :func:`repro.engine.fingerprint.query_key`, which
-folds the serving store's dataset fingerprint into every key.  That
-makes invalidation structural rather than procedural: swapping in a
-store built from a changed dataset shifts every key, so stale bodies
-age out of the LRU instead of ever being served.
+Every entry is a response read from one store: the cache holds that
+store's fingerprint, and keys entries by request alone (the path plus
+the sorted ``(name, value)`` parameter pairs).  A store swap is the
+only place the cache is invalidated: :meth:`ResponseCache.retarget`
+moves the cache to the new fingerprint before the new store is
+published.
 
-Structural invalidation alone throws the whole cache away on every
-swap, which defeats the point of an *incremental* pipeline: after a 1%
-delta, 99% of cached bodies are still exactly right.  So entries carry
-the **tags** of what they read (``user:<steamid>``, ``app:<appid>``,
-``attr:<name>``, ``app_stats``), and :meth:`ResponseCache.retarget`
-moves a swap's survivors under the new fingerprint's keys: entries
-whose tags intersect the delta's
+A swap with a delta keeps what the delta cannot have changed.  Entries
+carry the **tags** of what they read (``user:<steamid>``,
+``app:<appid>``, ``attr:<name>``, ``app_stats``); entries whose tags
+intersect the delta's
 :meth:`~repro.delta.model.DatasetDelta.stale_tags` are evicted, the
-rest are re-keyed and keep serving hits.  Untagged entries (no tag
-derivation, or inserted by older callers) are conservatively evicted.
+rest stay in place and keep serving hits.  Untagged entries are
+conservatively evicted.  A swap without a delta empties the cache.
+
+:meth:`ResponseCache.put` takes the fingerprint of the store the
+payload was read from and drops the payload unless that is the
+current one, so a read that began on a retired store can never plant
+its body after the swap.
 
 Thread safety matters here — every HTTP server handler
 thread consults the cache concurrently — so all access is under one
@@ -28,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Hashable
 
 from repro.obs import Obs
 from repro.steamapi.deadline import check_deadline
@@ -38,25 +41,26 @@ __all__ = ["CacheEntry", "ResponseCache"]
 
 @dataclass(slots=True)
 class CacheEntry:
-    """One cached response plus what it read (for delta retargeting)."""
+    """One cached response plus what it read (for delta eviction)."""
 
     payload: Any
     #: Tags naming the users/apps/attributes the response depends on;
     #: ``None`` means unknown — such entries never survive a retarget.
     tags: frozenset[str] | None = None
-    #: Request identity, for re-keying (``params`` is None when empty).
-    path: str | None = None
-    params: dict | None = None
 
 
 class ResponseCache:
-    """A bounded, thread-safe LRU of response payloads."""
+    """A bounded, thread-safe LRU of response payloads read from the
+    store with fingerprint :attr:`fingerprint`."""
 
-    def __init__(self, maxsize: int = 4096, obs: Obs | None = None) -> None:
+    def __init__(
+        self, fingerprint: str, maxsize: int = 4096, obs: Obs | None = None
+    ) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
+        self.fingerprint = fingerprint
         self.maxsize = maxsize
-        self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
+        self._entries: OrderedDict[Hashable, CacheEntry] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -74,7 +78,7 @@ class ResponseCache:
                 "serving_cache_evictions", "Serving cache LRU evictions"
             )
 
-    def get(self, key: str) -> Any | None:
+    def get(self, key: Hashable) -> Any | None:
         """The cached payload, or ``None`` on a miss.
 
         Checks the ambient request deadline first: a request that has
@@ -97,20 +101,18 @@ class ResponseCache:
 
     def put(
         self,
-        key: str,
+        key: Hashable,
         payload: Any,
+        fingerprint: str,
         tags: frozenset[str] | None = None,
-        path: str | None = None,
-        params: dict | None = None,
     ) -> None:
-        """Insert (or refresh) ``key``; evicts the LRU tail when full."""
-        entry = CacheEntry(
-            payload=payload,
-            tags=tags,
-            path=path,
-            params=dict(params) if params else None,
-        )
+        """Insert (or refresh) ``key`` with a payload read from the store
+        with ``fingerprint``; evicts the LRU tail when full.  A payload
+        from any store but the current one is dropped."""
+        entry = CacheEntry(payload=payload, tags=tags)
         with self._lock:
+            if fingerprint != self.fingerprint:
+                return
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
@@ -120,31 +122,24 @@ class ResponseCache:
                     self._m_evictions.inc()
 
     def retarget(
-        self,
-        stale_tags: frozenset[str],
-        rekey: Callable[[str, dict], str],
+        self, fingerprint: str, stale_tags: frozenset[str] | None = None
     ) -> dict[str, int]:
-        """Carry unaffected entries across a store swap.
+        """Move the cache to the store with ``fingerprint``.
 
-        Evicts every entry whose tags intersect ``stale_tags`` (or
-        whose tags are unknown), and re-keys the rest via
-        ``rekey(path, params)`` — the caller closes over the *new*
-        store fingerprint, so survivors keep hitting after the swap.
-        LRU recency order is preserved.
+        With ``stale_tags`` (a delta linking the two stores), evicts
+        every entry whose tags intersect them, or whose tags are
+        unknown, and keeps the rest in LRU order.  With ``None``,
+        evicts everything.
         """
         with self._lock:
-            survivors: OrderedDict[str, CacheEntry] = OrderedDict()
-            evicted = kept = 0
-            for entry in self._entries.values():
-                if (
-                    entry.tags is None
-                    or entry.path is None
-                    or entry.tags & stale_tags
-                ):
-                    evicted += 1
-                    continue
-                survivors[rekey(entry.path, entry.params or {})] = entry
-                kept += 1
+            self.fingerprint = fingerprint
+            survivors: OrderedDict[Hashable, CacheEntry] = OrderedDict()
+            if stale_tags is not None:
+                for key, entry in self._entries.items():
+                    if entry.tags is not None and not entry.tags & stale_tags:
+                        survivors[key] = entry
+            evicted = len(self._entries) - len(survivors)
+            kept = len(survivors)
             self._entries = survivors
             self._evictions += evicted
             self._retargeted += kept

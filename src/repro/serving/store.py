@@ -34,14 +34,17 @@ from typing import Any
 
 import numpy as np
 
-from repro.core import homophily as homophily_mod
 from repro.core import percentiles as percentiles_mod
 from repro.core.distributions import (
     ATTRIBUTE_ROWS,
     MIN_ROW_POPULATION,
     table4_row_stage,
 )
-from repro.core.homophily import HOMOPHILY_ATTRIBUTES, CorrelationSet
+from repro.core.homophily import (
+    HOMOPHILY_ATTRIBUTES,
+    CorrelationSet,
+    homophily_stages,
+)
 from repro.core.percentiles import (
     ATTRIBUTE_COLUMNS,
     ATTRIBUTE_VALUES,
@@ -124,10 +127,6 @@ def _stage_index(ctx: StageContext, attribute: str) -> DistributionIndex:
     )
 
 
-def _stage_homophily(ctx: StageContext) -> CorrelationSet:
-    return homophily_mod.homophily(ctx.dataset).correlations
-
-
 def _stage_app_stats(ctx: StageContext) -> AppStats:
     library = ctx.dataset.library
     n = ctx.dataset.n_products
@@ -142,10 +141,12 @@ def _stage_app_stats(ctx: StageContext) -> AppStats:
 
 
 def build_serving_graph() -> StageGraph:
-    """The serving store's stage DAG: all stages independent, so a
-    ``jobs=N`` build fans the tail fits (the expensive part) across
-    workers.  The tail fits are Table 4's own row stages, so a store
-    built on the study's stage cache reuses the study's fits."""
+    """The serving store's stage DAG: all stages but the Figure 11
+    merge are independent, so a ``jobs=N`` build fans the tail fits
+    (the expensive part) across workers.  The tail fits are Table 4's
+    own row stages and the homophily correlations Figure 11's, so a
+    store built on the study's stage cache reuses the study's
+    results."""
     this = sys.modules[__name__]
     stages: list[Stage] = []
     # Per-attribute stages key on just that attribute's backing columns
@@ -163,15 +164,7 @@ def build_serving_graph() -> StageGraph:
             )
         )
         stages.append(table4_row_stage(ATTRIBUTE_ROWS[attribute]))
-    stages.append(
-        Stage(
-            name="serving_homophily",
-            fn=_stage_homophily,
-            modules=(this, homophily_mod),
-            version=SERVING_STAGE_VERSION,
-            columns=("fr", "lib", "cat.price_cents"),
-        )
-    )
+    stages.extend(homophily_stages())
     stages.append(
         Stage(
             name="serving_app_stats",
@@ -271,7 +264,7 @@ class AnalyticsStore:
             tailfits={
                 a: results[f"table4:{ATTRIBUTE_ROWS[a]}"] for a in ATTRIBUTES
             },
-            correlations=results["serving_homophily"],
+            correlations=results["fig11_homophily"].correlations,
             app_stats=results["serving_app_stats"],
             build_run=run,
         )

@@ -12,22 +12,7 @@ import threading
 import time
 from typing import Callable
 
-__all__ = ["TokenBucket", "VirtualClock"]
-
-
-class VirtualClock:
-    """A manually-advanced clock for deterministic rate-limit tests."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    def __call__(self) -> float:
-        return self._now
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("cannot rewind the clock")
-        self._now += seconds
+__all__ = ["TokenBucket"]
 
 
 class TokenBucket:

@@ -2,7 +2,7 @@
 
 import http.client
 import urllib.request
-from urllib.parse import urlparse
+from urllib.parse import urlencode, urlparse
 
 import pytest
 
@@ -26,11 +26,21 @@ def _scrape(server) -> tuple[str, str]:
 class TestMetricsRoute:
     def test_prometheus_exposition(self, server, small_world):
         sid = int(small_world.dataset.accounts.steamids()[0])
-        HttpTransport(server.base_url).request(
-            "/ISteamUser/GetPlayerSummaries/v2",
-            {"key": DEFAULT_API_KEY, "steamids": str(sid)},
+        query = urlencode({"key": DEFAULT_API_KEY, "steamids": str(sid)})
+        # One keep-alive connection, as in test_error_statuses_labelled:
+        # the request is accounted before the scrape is read.
+        conn = http.client.HTTPConnection(
+            urlparse(server.base_url).netloc, timeout=10
         )
-        text, content_type = _scrape(server)
+        try:
+            conn.request("GET", f"/ISteamUser/GetPlayerSummaries/v2?{query}")
+            conn.getresponse().read()
+            conn.request("GET", "/metrics")
+            response = conn.getresponse()
+            text = response.read().decode("utf-8")
+            content_type = response.getheader("Content-Type")
+        finally:
+            conn.close()
         assert content_type == "text/plain; version=0.0.4"
         assert "# TYPE http_requests counter" in text
         assert (

@@ -2,8 +2,8 @@
 
 - parallel store builds are byte-identical to serial ones,
 - a warm stage cache rebuilds the store without executing any stage,
-- any dataset mutation (new fingerprint) invalidates both the stage
-  cache and the response cache structurally,
+- any dataset mutation (new fingerprint) invalidates the stage cache
+  by key, and a store swap empties the response cache,
 - concurrent HTTP clients asking the same question get the same bytes.
 """
 
@@ -86,7 +86,8 @@ def test_dataset_mutation_invalidates_stage_cache(tmp_path):
     assert executed == {
         "serving_index:market_value",
         "table4:account market values",
-        "serving_homophily",
+        "fig11:market_value",
+        "fig11_homophily",
     }
     assert set(rebuilt.build_run.cached) == {
         name

@@ -1,18 +1,22 @@
-"""Targeted response-cache invalidation across a delta store swap.
+"""Response-cache invalidation at a store swap, the only place it happens.
 
-``swap_store(store, delta)`` must evict exactly the entries the delta
-could have changed and re-key the rest under the new fingerprint so
-they keep serving hits (DESIGN.md §12).
+``swap_store(store, delta)`` moves the cache to the new store's
+fingerprint: it evicts exactly the entries the delta could have
+changed and keeps the rest in place, serving hits; without a linking
+delta it empties the cache.  A body read from a retired store is
+dropped at ``put`` (DESIGN.md §12).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro import constants
 from repro.delta.model import DatasetDelta, dataset_delta
-from repro.serving import AnalyticsService, AnalyticsStore
+from repro.serving import AnalyticsService, AnalyticsStore, ResponseCache
 from repro.simworld.evolution import EvolveConfig, evolve
 
 
@@ -118,8 +122,8 @@ class TestRetargetSwap:
             fingerprint=new_store.fingerprint,
         )
         assert service.swap_store(new_store, bogus) is None
-        # Old entries die structurally: the same question misses (its
-        # old key embeds the old fingerprint) and is recomputed.
+        # Not the swap this delta describes, so the swap emptied the
+        # cache: the same question misses and is recomputed.
         hits_before = service.cache.stats()["hits"]
         after = service.dispatch("/tailfit/friends", {})
         assert service.cache.stats()["hits"] == hits_before
@@ -130,3 +134,57 @@ class TestRetargetSwap:
         prior_store, new_store, _ = swap_pair
         service = AnalyticsService(prior_store)
         assert service.swap_store(new_store) is None
+
+
+class TestRetiredReads:
+    def test_put_from_retired_store_is_dropped(self):
+        key = ("/tailfit/friends", ())
+        tags = frozenset({"attr:friends"})
+        cache = ResponseCache("fp-old")
+        cache.retarget("fp-new", frozenset())
+        cache.put(key, {"from": "old"}, "fp-old", tags=tags)
+        assert len(cache) == 0
+        assert cache.get(key) is None
+        cache.put(key, {"from": "new"}, "fp-new", tags=tags)
+        assert cache.get(key) == {"from": "new"}
+
+    def test_read_blocked_across_swap_leaves_no_body(self, swap_pair):
+        """A read that began on the prior store and finishes after a
+        delta swap marking its user stale must not plant its body."""
+        prior_store, new_store, delta = swap_pair
+        target = int(delta.changed_steamids[0])
+        blocking = _BlockingStore(prior_store)
+        service = AnalyticsService(blocking)
+        path = f"/users/{target}/summary"
+        result = {}
+        reader = threading.Thread(
+            target=lambda: result.update(body=service.dispatch(path, {}))
+        )
+        reader.start()
+        assert blocking.entered.wait(timeout=30)
+        assert service.swap_store(new_store, delta) is not None
+        blocking.release.set()
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert result["body"] == prior_store.user_summary(target)
+
+        after = service.dispatch(path, {})
+        assert after == new_store.user_summary(target)
+        assert after != result["body"]
+
+
+class _BlockingStore:
+    """A store whose user summaries wait on ``release`` once entered."""
+
+    def __init__(self, store: AnalyticsStore) -> None:
+        self._store = store
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+    def user_summary(self, steamid: int) -> dict:
+        self.entered.set()
+        self.release.wait(timeout=30)
+        return self._store.user_summary(steamid)

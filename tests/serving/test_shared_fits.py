@@ -1,8 +1,10 @@
-"""The store's tail fits are Table 4's row stages.
+"""The store's tail fits are Table 4's row stages, and its homophily
+correlations are Figure 11's stages.
 
-On one stage cache, a study run leaves every ``/tailfit`` fit cached:
-the store build then executes only its own index, homophily and app
-stages, and serves the same bytes as a cold, cache-less store.
+On one stage cache, a study run leaves every ``/tailfit`` fit and every
+Figure 11 shard cached: the store build then executes only its own
+index and app stages, and serves the same bytes as a cold, cache-less
+store.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import json
 
 from repro import SteamStudy
 from repro.core.distributions import ATTRIBUTE_ROWS
+from repro.core.homophily import HOMOPHILY_ATTRIBUTES
 from repro.core.percentiles import ATTRIBUTES
 from repro.engine import StageCache
 from repro.serving import AnalyticsService, AnalyticsStore
@@ -31,11 +34,12 @@ def test_store_after_study_fits_no_tail(tmp_path, small_dataset):
 
     assert set(shared.build_run.executed) == {
         *(f"serving_index:{attribute}" for attribute in ATTRIBUTES),
-        "serving_homophily",
         "serving_app_stats",
     }
     assert set(shared.build_run.cached) == {
-        f"table4:{ATTRIBUTE_ROWS[attribute]}" for attribute in ATTRIBUTES
+        *(f"table4:{ATTRIBUTE_ROWS[attribute]}" for attribute in ATTRIBUTES),
+        *(f"fig11:{attribute}" for attribute in HOMOPHILY_ATTRIBUTES),
+        "fig11_homophily",
     }
     cold = AnalyticsStore.build(small_dataset)
     assert _tailfit_bodies(shared) == _tailfit_bodies(cold)

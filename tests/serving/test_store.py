@@ -19,7 +19,7 @@ class TestBuild:
         assert set(serving_store.indexes) == set(ATTRIBUTES)
         assert set(serving_store.tailfits) == set(ATTRIBUTES)
         assert serving_store.build_run is not None
-        assert serving_store.build_run.n_stages == 2 * len(ATTRIBUTES) + 2
+        assert serving_store.build_run.n_stages == 2 * len(ATTRIBUTES) + 6
 
     def test_indexes_sorted_and_nonzero(self, serving_store, small_dataset):
         for name in ATTRIBUTES:

@@ -2,24 +2,13 @@
 
 import pytest
 
-from repro.steamapi.ratelimit import TokenBucket, VirtualClock
-
-
-class TestVirtualClock:
-    def test_advances(self):
-        clock = VirtualClock()
-        assert clock() == 0.0
-        clock.advance(2.5)
-        assert clock() == 2.5
-
-    def test_rejects_rewind(self):
-        with pytest.raises(ValueError):
-            VirtualClock().advance(-1.0)
+from repro.obs import FakeClock
+from repro.steamapi.ratelimit import TokenBucket
 
 
 class TestTokenBucket:
     def test_burst_capacity(self):
-        clock = VirtualClock()
+        clock = FakeClock()
         bucket = TokenBucket(rate=1.0, burst=3.0, clock=clock)
         assert bucket.try_acquire()
         assert bucket.try_acquire()
@@ -27,7 +16,7 @@ class TestTokenBucket:
         assert not bucket.try_acquire()
 
     def test_refills_over_time(self):
-        clock = VirtualClock()
+        clock = FakeClock()
         bucket = TokenBucket(rate=2.0, burst=2.0, clock=clock)
         bucket.try_acquire(2.0)
         assert not bucket.try_acquire()
@@ -36,13 +25,13 @@ class TestTokenBucket:
         assert not bucket.try_acquire()
 
     def test_never_exceeds_burst(self):
-        clock = VirtualClock()
+        clock = FakeClock()
         bucket = TokenBucket(rate=10.0, burst=5.0, clock=clock)
         clock.advance(100.0)
         assert bucket.available == pytest.approx(5.0)
 
     def test_wait_time(self):
-        clock = VirtualClock()
+        clock = FakeClock()
         bucket = TokenBucket(rate=2.0, burst=1.0, clock=clock)
         bucket.try_acquire()
         assert bucket.wait_time() == pytest.approx(0.5)
@@ -50,11 +39,11 @@ class TestTokenBucket:
         assert bucket.wait_time() == pytest.approx(0.25)
 
     def test_wait_time_zero_when_available(self):
-        bucket = TokenBucket(rate=1.0, burst=1.0, clock=VirtualClock())
+        bucket = TokenBucket(rate=1.0, burst=1.0, clock=FakeClock())
         assert bucket.wait_time() == 0.0
 
     def test_sustained_rate(self):
-        clock = VirtualClock()
+        clock = FakeClock()
         bucket = TokenBucket(rate=5.0, burst=1.0, clock=clock)
         granted = 0
         for _ in range(1000):

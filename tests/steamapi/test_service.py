@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import constants
+from repro.obs import FakeClock
 from repro.steamapi.errors import (
     BadRequestError,
     NotFoundError,
@@ -11,7 +12,6 @@ from repro.steamapi.errors import (
     UnauthorizedError,
 )
 from repro.steamapi.models import GROUP_ID_BASE
-from repro.steamapi.ratelimit import VirtualClock
 from repro.steamapi.service import DEFAULT_API_KEY, SteamApiService
 
 
@@ -170,7 +170,7 @@ class TestAuthAndRateLimit:
             service.get_app_list("NOT-A-KEY")
 
     def test_rate_limit_enforced(self, small_world):
-        clock = VirtualClock()
+        clock = FakeClock()
         service = SteamApiService.from_world(
             small_world, rate_per_second=1.0, burst=2.0, clock=clock
         )

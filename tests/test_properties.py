@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crawler.throttle import PolitePacer
+from repro.obs import FakeClock
 from repro.simworld.marginals import AnchoredCurve, TailSpec
-from repro.steamapi.ratelimit import TokenBucket, VirtualClock
+from repro.steamapi.ratelimit import TokenBucket
 
 
 class TestTokenBucketProperties:
@@ -26,7 +27,7 @@ class TestTokenBucketProperties:
     )
     @settings(max_examples=80)
     def test_never_grants_beyond_refill_plus_burst(self, schedule):
-        clock = VirtualClock()
+        clock = FakeClock()
         rate, burst = 2.0, 3.0
         bucket = TokenBucket(rate=rate, burst=burst, clock=clock)
         granted = 0
@@ -40,7 +41,7 @@ class TestTokenBucketProperties:
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=40)
     def test_wait_time_is_sufficient(self, rate):
-        clock = VirtualClock()
+        clock = FakeClock()
         bucket = TokenBucket(rate=rate, burst=1.0, clock=clock)
         assert bucket.try_acquire()
         wait = bucket.wait_time()
